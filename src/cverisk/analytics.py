@@ -4,23 +4,15 @@ scored vulnerability records."""
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .encoding import FACTOR_NAMES
-from .model import ScoredRecord, Severity, SeverityThresholds, classify
-from .vector import (
-    AttackComplexity,
-    AttackVector,
-    ImpactLevel,
-    PrivilegesRequired,
-    Scope,
-    UserInteraction,
-    variant_label,
-)
+from .model import ScoredRecord, Severity, SeverityThresholds, official_scores
+from .vector import METRIC_NAMES, metric_labels, metric_level
 
 
 class TooFewRowsError(ValueError):
@@ -48,67 +40,64 @@ class LengthMismatchError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# factor selectors
+# categorical factors
 # --------------------------------------------------------------------------
-
-_IMPACT_ORDER = (ImpactLevel.NONE, ImpactLevel.LOW, ImpactLevel.HIGH)
-
-
-def _domain(enum: type) -> tuple[str, ...]:
-    return tuple(variant_label(m) for m in enum)
-
-
-def _combined_cia_label(sr: ScoredRecord, t: SeverityThresholds) -> str:
-    worst = max((sr.vector.c, sr.vector.i, sr.vector.a), key=_IMPACT_ORDER.index)
-    return variant_label(worst)
-
-
-def _official_severity_label(sr: ScoredRecord, t: SeverityThresholds) -> str:
-    if sr.record.official_score is None:
-        raise ValueError(f"{sr.record.cve_id} has no official score")
-    return classify(sr.record.official_score, t).label
-
-
-@dataclass(frozen=True)
-class _Factor:
-    domain: tuple[str, ...]
-    extract: Callable[[ScoredRecord, SeverityThresholds], str]
 
 
 _SEVERITY_DOMAIN = tuple(s.label for s in Severity)
 
-CATEGORICAL_FACTORS: dict[str, _Factor] = {
-    "AV": _Factor(_domain(AttackVector), lambda sr, t: variant_label(sr.vector.av)),
-    "AC": _Factor(_domain(AttackComplexity), lambda sr, t: variant_label(sr.vector.ac)),
-    "PR": _Factor(_domain(PrivilegesRequired), lambda sr, t: variant_label(sr.vector.pr)),
-    "UI": _Factor(_domain(UserInteraction), lambda sr, t: variant_label(sr.vector.ui)),
-    "S": _Factor(_domain(Scope), lambda sr, t: variant_label(sr.vector.scope)),
-    "C": _Factor(_domain(ImpactLevel), lambda sr, t: variant_label(sr.vector.c)),
-    "I": _Factor(_domain(ImpactLevel), lambda sr, t: variant_label(sr.vector.i)),
-    "A": _Factor(_domain(ImpactLevel), lambda sr, t: variant_label(sr.vector.a)),
-    "combined_cia": _Factor(_domain(ImpactLevel), _combined_cia_label),
-    "severity": _Factor(_SEVERITY_DOMAIN, lambda sr, t: sr.severity.label),
-    "official_severity": _Factor(_SEVERITY_DOMAIN, _official_severity_label),
-}
-
-SCORE_SELECTORS: dict[str, Callable[[ScoredRecord], float]] = {
-    "official": lambda sr: sr.record.official_score,
-    "composite": lambda sr: sr.composite,
+#: Categorical factor name -> its category labels, in index order.
+CATEGORICAL_FACTORS: dict[str, tuple[str, ...]] = {
+    **{name: metric_labels(name) for name in METRIC_NAMES},
+    "combined_cia": metric_labels("C"),
+    "severity": _SEVERITY_DOMAIN,
+    "official_severity": _SEVERITY_DOMAIN,
 }
 
 
-def _factor(name: str) -> _Factor:
+def _score_values(records: Sequence[ScoredRecord], value: str) -> np.ndarray:
+    if value == "official":
+        return official_scores(records)
+    if value == "composite":
+        return np.array([sr.composite for sr in records], dtype=float)
+    raise UnknownFactorError(f"unknown score selector {value!r}")
+
+
+def category_index(
+    records: Sequence[ScoredRecord],
+    name: str,
+    *,
+    thresholds: SeverityThresholds = SeverityThresholds(),
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The category labels of factor ``name`` and each record's index into them.
+
+    Vector metrics come from the vector codes; ``combined_cia`` is the worst
+    of the C/I/A levels; ``official_severity`` classifies the official score
+    under ``thresholds``, ``severity`` is the model's classification.
+    """
     try:
-        return CATEGORICAL_FACTORS[name]
+        domain = CATEGORICAL_FACTORS[name]
     except KeyError:
         raise UnknownFactorError(f"unknown categorical factor {name!r}") from None
+    if name == "severity":
+        index = np.array([sr.severity for sr in records], dtype=int) - 1
+    elif name == "official_severity":
+        cuts = (thresholds.tau1, thresholds.tau2, thresholds.tau3)
+        index = np.searchsorted(cuts, official_scores(records), side="right")
+    else:
+        codes = np.array([sr.vector.code for sr in records], dtype=int)
+        if name == "combined_cia":
+            index = np.maximum.reduce([metric_level(codes, m) for m in "CIA"])
+        else:
+            index = metric_level(codes, name)
+    return domain, index
 
 
-def _score_selector(name: str) -> Callable[[ScoredRecord], float]:
-    try:
-        return SCORE_SELECTORS[name]
-    except KeyError:
-        raise UnknownFactorError(f"unknown score selector {name!r}") from None
+def _cell_sums(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int], weights=None):
+    """Per-cell counts (or, with ``weights``, sums accumulated in record
+    order) over a ``shape`` grid of (row, col) category pairs."""
+    cells = rows * shape[1] + cols
+    return np.bincount(cells, weights, minlength=shape[0] * shape[1]).reshape(shape)
 
 
 # --------------------------------------------------------------------------
@@ -139,14 +128,9 @@ class FactorMatrix:
     ) -> FactorMatrix:
         """Eight encoded factors per record, plus the official CVSS column."""
         names = FACTOR_NAMES + (("CVSS",) if include_official else ())
-        data = np.empty((len(records), len(names)), dtype=float)
-        for k, sr in enumerate(records):
-            row = list(sr.factors)
-            if include_official:
-                if sr.record.official_score is None:
-                    raise ValueError(f"{sr.record.cve_id} has no official score")
-                row.append(sr.record.official_score)
-            data[k] = row
+        data = np.array([sr.factors for sr in records], dtype=float).reshape(-1, len(FACTOR_NAMES))
+        if include_official:
+            data = np.column_stack([data, official_scores(records)])
         return cls(names, data)
 
 
@@ -226,19 +210,15 @@ def conditional_matrix(
     Rows over categories of ``x`` that never occur are all-zero and flagged
     in ``empty_rows`` rather than renormalized.
     """
-    fx = _factor(x)
-    fy = _factor(y)
-    counts = np.zeros((len(fx.domain), len(fy.domain)), dtype=int)
-    row_index = {label: k for k, label in enumerate(fx.domain)}
-    col_index = {label: k for k, label in enumerate(fy.domain)}
-    for sr in records:
-        counts[row_index[fx.extract(sr, thresholds)], col_index[fy.extract(sr, thresholds)]] += 1
+    row_domain, rows = category_index(records, x, thresholds=thresholds)
+    col_domain, cols = category_index(records, y, thresholds=thresholds)
+    counts = _cell_sums(rows, cols, (len(row_domain), len(col_domain)))
     row_totals = counts.sum(axis=1)
     probs = np.zeros(counts.shape, dtype=float)
     filled = row_totals > 0
     probs[filled] = counts[filled] / row_totals[filled, None]
-    empty = tuple(label for label, total in zip(fx.domain, row_totals) if total == 0)
-    return ConditionalMatrix(x, y, fx.domain, fy.domain, probs, counts, empty)
+    empty = tuple(label for label, total in zip(row_domain, row_totals) if total == 0)
+    return ConditionalMatrix(x, y, row_domain, col_domain, probs, counts, empty)
 
 
 # --------------------------------------------------------------------------
@@ -358,15 +338,12 @@ def group_statistics(
     """
     if not records:
         raise EmptyInputError("no records to group")
-    factor = _factor(group_by)
-    select = _score_selector(value)
-    buckets: dict[str, list[float]] = {label: [] for label in factor.domain}
-    for sr in records:
-        buckets[factor.extract(sr, thresholds)].append(select(sr))
+    domain, index = category_index(records, group_by, thresholds=thresholds)
+    values = _score_values(records, value)
     ddof = 1 if sample_std else 0
     out = []
-    for label in factor.domain:
-        vals = np.asarray(buckets[label], dtype=float)
+    for k, label in enumerate(domain):
+        vals = values[index == k]
         if vals.size == 0:
             nan = math.nan
             out.append(GroupStats(label, 0, nan, nan, nan, nan, nan))
@@ -404,22 +381,13 @@ def high_risk_share(
     """Per-category share of records whose official score is >= threshold."""
     if not records:
         raise EmptyInputError("no records to group")
-    factor = _factor(group_by)
-    totals = {label: 0 for label in factor.domain}
-    high = {label: 0 for label in factor.domain}
-    for sr in records:
-        label = factor.extract(sr, thresholds)
-        totals[label] += 1
-        if sr.record.official_score >= threshold:
-            high[label] += 1
+    domain, index = category_index(records, group_by, thresholds=thresholds)
+    is_high = official_scores(records) >= threshold
+    totals = np.bincount(index, minlength=len(domain)).tolist()
+    high = np.bincount(index[is_high], minlength=len(domain)).tolist()
     return [
-        HighRiskShare(
-            label,
-            totals[label],
-            high[label],
-            high[label] / totals[label] if totals[label] else math.nan,
-        )
-        for label in factor.domain
+        HighRiskShare(label, total, hi, hi / total if total else math.nan)
+        for label, total, hi in zip(domain, totals, high)
     ]
 
 
@@ -444,21 +412,14 @@ def cross_statistics(
     thresholds: SeverityThresholds = SeverityThresholds(),
 ) -> CrossTable:
     """Cell means of ``value`` over the x/y category grid; empty cells are NaN."""
-    fx = _factor(x)
-    fy = _factor(y)
-    select = _score_selector(value)
-    sums = np.zeros((len(fx.domain), len(fy.domain)))
-    counts = np.zeros(sums.shape, dtype=int)
-    row_index = {label: k for k, label in enumerate(fx.domain)}
-    col_index = {label: k for k, label in enumerate(fy.domain)}
-    for sr in records:
-        r = row_index[fx.extract(sr, thresholds)]
-        c = col_index[fy.extract(sr, thresholds)]
-        sums[r, c] += select(sr)
-        counts[r, c] += 1
+    row_domain, rows = category_index(records, x, thresholds=thresholds)
+    col_domain, cols = category_index(records, y, thresholds=thresholds)
+    shape = (len(row_domain), len(col_domain))
+    sums = _cell_sums(rows, cols, shape, _score_values(records, value))
+    counts = _cell_sums(rows, cols, shape)
     with np.errstate(invalid="ignore"):
         means = np.where(counts > 0, sums / np.maximum(counts, 1), math.nan)
-    return CrossTable(x, y, fx.domain, fy.domain, means, counts)
+    return CrossTable(x, y, row_domain, col_domain, means, counts)
 
 
 # --------------------------------------------------------------------------

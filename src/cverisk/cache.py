@@ -93,10 +93,12 @@ def read_cache(path, *, lenient: bool = False) -> list[CveRecord]:
     """Load all records from a cache file.
 
     A corrupt or duplicate line aborts with its line number; under
-    ``lenient`` it is skipped with a warning instead.
+    ``lenient`` it is skipped with a warning instead. So does a header
+    ``count`` that differs from the number of lines after the header, as
+    in a truncated file; per-line errors are reported first.
     """
     path = Path(path)
-    read_header(path)
+    expected = read_header(path).get("count")
     records: list[CveRecord] = []
     seen: set[str] = set()
     with path.open("r", encoding="utf-8") as fh:
@@ -117,6 +119,11 @@ def read_cache(path, *, lenient: bool = False) -> list[CveRecord]:
                 raise DuplicateIdError(record.cve_id, line_no)
             seen.add(record.cve_id)
             records.append(record)
+    if line_no - 1 != expected:
+        reason = f"header count is {expected!r} but {line_no - 1} record lines follow"
+        if not lenient:
+            raise CacheFormatError(1, reason)
+        logger.warning("%s: %s", path, reason)
     return records
 
 

@@ -9,7 +9,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .encoding import ETA, DEFAULT_MAPS, AttributeMaps
-from .model import GRID_TOLERANCE, ModelWeights, ScoredRecord
+from .model import GRID_TOLERANCE, ModelWeights, ScoredRecord, official_scores
 
 DEFAULT_KAPPA_RANGE = (0.5, 2.0, 0.05)
 DEFAULT_LAMBDA_GRID = (0.25, 0.5, 0.75, 1.0)
@@ -32,12 +32,7 @@ def uniform_weights(kappa: float = 1.0, delta: float = 0.1) -> ModelWeights:
 def _official_scores(cal: Sequence[ScoredRecord]) -> np.ndarray:
     if not cal:
         raise EmptyCalibrationSetError("calibration set is empty")
-    scores = []
-    for sr in cal:
-        if sr.record.official_score is None:
-            raise ValueError(f"{sr.record.cve_id} has no official score")
-        scores.append(sr.record.official_score)
-    return np.asarray(scores, dtype=float)
+    return official_scores(cal)
 
 
 def _kappa_grid(lo: float, hi: float, step: float) -> np.ndarray:

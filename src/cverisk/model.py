@@ -4,9 +4,11 @@ rounded composite score with its severity classification."""
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
+
+import numpy as np
 
 from .encoding import ETA, AttributeMaps, encode_factors
 from .records import CveRecord
@@ -100,6 +102,14 @@ class ScoredRecord:
     severity: Severity
 
 
+def official_scores(scored: Sequence[ScoredRecord]) -> np.ndarray:
+    """The records' official scores; a record without one is an error."""
+    scores = [sr.record.official_score for sr in scored]
+    if None in scores:
+        raise ValueError(f"{scored[scores.index(None)].record.cve_id} has no official score")
+    return np.array(scores, dtype=float)
+
+
 def round_up(x: float, delta: float) -> float:
     """Smallest multiple of ``delta`` at or above ``x``, absorbing float dust."""
     return math.ceil(x / delta - GRID_TOLERANCE) * delta
@@ -138,6 +148,18 @@ def classify(sv: float, t: SeverityThresholds = SeverityThresholds()) -> Severit
     return Severity.CRITICAL
 
 
+_NO_VECTOR = "no CVSS v3.1 vector string"
+
+
+def _score_vector(vector: CvssVector, config: ModelConfig) -> tuple:
+    """Every ``ScoredRecord`` field after ``record``, for one vector."""
+    rb = base_risk(vector, config.maps, config.weights)
+    impact = impact_score(vector, config.weights)
+    composite = composite_score(rb, impact, config.weights)
+    factors = encode_factors(vector, config.maps)
+    return vector, factors, rb, impact, composite, classify(composite, config.thresholds)
+
+
 def score_record(
     record: CveRecord, config: ModelConfig | None = None, *, lenient: bool = False
 ) -> ScoredRecord:
@@ -146,37 +168,44 @@ def score_record(
     Raises ``ScoringError`` tagged with the CVE id when the record has no
     vector string or the string fails to parse.
     """
-    config = config or ModelConfig()
     if not record.vector_string:
-        raise ScoringError(record.cve_id, "no CVSS v3.1 vector string")
+        raise ScoringError(record.cve_id, _NO_VECTOR)
     try:
         vector = parse_vector(record.vector_string, lenient=lenient)
     except VectorError as exc:
         raise ScoringError(record.cve_id, str(exc)) from exc
-    rb = base_risk(vector, config.maps, config.weights)
-    impact = impact_score(vector, config.weights)
-    composite = composite_score(rb, impact, config.weights)
-    return ScoredRecord(
-        record=record,
-        vector=vector,
-        factors=encode_factors(vector, config.maps),
-        base_risk=rb,
-        impact=impact,
-        composite=composite,
-        severity=classify(composite, config.thresholds),
-    )
+    return ScoredRecord(record, *_score_vector(vector, config or ModelConfig()))
 
 
 def score_records(
     records: Iterable[CveRecord], config: ModelConfig | None = None, *, lenient: bool = False
 ) -> tuple[list[ScoredRecord], list[tuple[CveRecord, str]]]:
-    """Score a batch; unscoreable records come back as (record, reason) pairs."""
+    """Score a batch; unscoreable records come back as (record, reason) pairs.
+
+    Gives the same results as ``score_record`` per record, but parses each
+    distinct vector string and scores each distinct vector code once; records
+    with the same code share one vector, factor tuple and set of scores.
+    """
     config = config or ModelConfig()
+    by_string: dict[str, tuple | str] = {}  # scored fields, or why parsing failed
+    by_code: dict[int, tuple] = {}
     scored: list[ScoredRecord] = []
     skipped: list[tuple[CveRecord, str]] = []
     for record in records:
-        try:
-            scored.append(score_record(record, config, lenient=lenient))
-        except ScoringError as exc:
-            skipped.append((record, exc.reason))
+        text = record.vector_string
+        fields = by_string.get(text) if text else _NO_VECTOR
+        if fields is None:
+            try:
+                vector = parse_vector(text, lenient=lenient)
+            except VectorError as exc:
+                fields = str(exc)
+            else:
+                if vector.code not in by_code:
+                    by_code[vector.code] = _score_vector(vector, config)
+                fields = by_code[vector.code]
+            by_string[text] = fields
+        if isinstance(fields, str):
+            skipped.append((record, fields))
+        else:
+            scored.append(ScoredRecord(record, *fields))
     return scored, skipped

@@ -17,6 +17,7 @@ from .analytics import (
     FactorMatrix,
     JointRiskConfig,
     TooFewRowsError,
+    category_index,
     conditional_matrix,
     correlation_matrix,
     cross_statistics,
@@ -30,18 +31,8 @@ from .analytics import (
 )
 from .calibration import calibrate_kappa, uniform_weights
 from .config import config_to_dict
-from .encoding import ETA
-from .model import (
-    ModelConfig,
-    ModelWeights,
-    Severity,
-    classify,
-    composite_score,
-    score_record,
-    score_records,
-)
+from .model import ModelConfig, composite_score, score_records
 from .records import CveRecord
-from .vector import AttackVector, ImpactLevel, variant_label
 
 SCORE_BINS = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 BIN_LABELS = ("[0,2)", "[2,4)", "[4,6)", "[6,8)", "[8,10]")
@@ -151,13 +142,9 @@ def _method_comparison(scored, config: ModelConfig, lenient: bool) -> list[tuple
     ]
     preset = uniform_weights(delta=config.weights.delta)
     preset_cfg = ModelConfig(maps=config.maps, weights=preset, thresholds=config.thresholds)
-    preset_scored = [score_record(sr.record, preset_cfg, lenient=lenient) for sr in scored]
+    preset_scored, _ = score_records([sr.record for sr in scored], preset_cfg, lenient=lenient)
     kappa = calibrate_kappa(preset_scored, delta=config.weights.delta)
-    refit = ModelWeights(
-        preset.alpha, preset.beta, preset.gamma,
-        preset.lambda_c, preset.lambda_i, preset.lambda_a,
-        kappa, preset.delta,
-    )
+    refit = uniform_weights(kappa, delta=config.weights.delta)
     preset_scores = [composite_score(sr.base_risk, sr.impact, refit) for sr in preset_scored]
     rows.append(
         (
@@ -229,9 +216,11 @@ def build_bundle(
         "max": float(officials.max()),
     }
 
-    sev_counts = {s.label: 0 for s in Severity}
-    for sr in scored:
-        sev_counts[classify(sr.record.official_score, t).label] += 1
+    def category_counts(name: str) -> dict[str, int]:
+        domain, index = category_index(scored, name, thresholds=t)
+        return dict(zip(domain, np.bincount(index, minlength=len(domain)).tolist()))
+
+    sev_counts = category_counts("official_severity")
     tables["severity_mix"] = (
         ("severity", "count", "share"),
         [(label, c, c / n) for label, c in sev_counts.items()],
@@ -241,9 +230,7 @@ def build_bundle(
     }
 
     # ---- attack vector ------------------------------------------------------
-    av_counts = {variant_label(m): 0 for m in AttackVector}
-    for sr in scored:
-        av_counts[variant_label(sr.vector.av)] += 1
+    av_counts = category_counts("AV")
     tables["attack_vector_counts"] = (
         ("attack_vector", "count", "share"),
         [(label, c, c / n) for label, c in av_counts.items()],
@@ -304,16 +291,9 @@ def build_bundle(
     )
 
     high_subset = [sr for sr in scored if sr.record.official_score >= HIGH_RISK_THRESHOLD]
-    if high_subset:
-        hm = conditional_matrix(high_subset, "AC", "PR", thresholds=t)
-        high_counts = hm.counts
-        high_rows, high_cols = hm.row_domain, hm.col_domain
-    else:
-        high_rows = acpr.row_domain
-        high_cols = acpr.col_domain
-        high_counts = np.zeros((len(high_rows), len(high_cols)), dtype=int)
+    hm = conditional_matrix(high_subset, "AC", "PR", thresholds=t)
     tables["high_risk_complexity_privilege"] = _matrix_table(
-        "attack_complexity", high_rows, high_cols, high_counts
+        "attack_complexity", hm.row_domain, hm.col_domain, hm.counts
     )
 
     ui_idx = {label: k for k, label in enumerate(ui_c.row_domain)}
@@ -346,10 +326,8 @@ def build_bundle(
     # ---- CIA impact levels --------------------------------------------------
     cia_rows = []
     cia_summary = {}
-    for comp_label, attr in (("C", "c"), ("I", "i"), ("A", "a")):
-        level_counts = {variant_label(level): 0 for level in ImpactLevel}
-        for sr in scored:
-            level_counts[variant_label(getattr(sr.vector, attr))] += 1
+    for comp_label in "CIA":
+        level_counts = category_counts(comp_label)
         cia_summary[comp_label] = {
             label: {"count": c, "share": c / n} for label, c in level_counts.items()
         }
@@ -357,7 +335,8 @@ def build_bundle(
     tables["cia_impact_levels"] = (("component", "level", "count", "share"), cia_rows)
     summary["cia_impact_levels"] = cia_summary
 
-    eta_rows = np.array([[ETA[sr.vector.c], ETA[sr.vector.i], ETA[sr.vector.a]] for sr in scored])
+    fm = FactorMatrix.from_scored(scored)
+    eta_rows = fm.rows[:, [fm.factor_names.index(comp) for comp in "CIA"]]
     bin_index = np.digitize(officials, SCORE_BINS[1:-1])
     bin_rows = []
     for b, label in enumerate(BIN_LABELS):
@@ -374,7 +353,6 @@ def build_bundle(
     )
 
     # ---- correlations -------------------------------------------------------
-    fm = FactorMatrix.from_scored(scored)
     corr = None
     corr_reason = None
     try:
@@ -421,10 +399,9 @@ def build_bundle(
 
     bandwidths = {}
     kde_skipped = []
-    for member in AttackVector:
-        label = variant_label(member)
-        mask = np.array([sr.vector.av is member for sr in scored])
-        vals = officials[mask]
+    av_domain, av_index = category_index(scored, "AV")
+    for k, label in enumerate(av_domain):
+        vals = officials[av_index == k]
         if vals.size < 2:
             kde_skipped.append(label)
             continue
@@ -439,7 +416,13 @@ def build_bundle(
     # ---- joint risk ---------------------------------------------------------
     if corr is not None:
         jr_cfg = JointRiskConfig.from_data(corr, fm)
-        indices = [joint_risk_index(row, corr, jr_cfg) for row in fm.rows]
+        # The index depends on a row only through which factors reach their
+        # thresholds, so compute it once per distinct activation pattern.
+        active = fm.rows >= jr_cfg.thresholds
+        patterns = active @ (1 << np.arange(active.shape[1]))
+        _, first, inverse = np.unique(patterns, return_index=True, return_inverse=True)
+        per_pattern = np.array([joint_risk_index(fm.rows[k], corr, jr_cfg) for k in first])
+        indices = per_pattern[inverse].tolist()
         order = sorted(zip(ids, indices), key=lambda kv: (-kv[1], kv[0]))
         summary["joint_risk"] = {
             "defined": True,

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 
 STRICT_PREFIX = "CVSS:3.1"
@@ -79,14 +80,14 @@ class ImpactLevel(Enum):
     HIGH = "H"
 
 
-def variant_label(member: Enum) -> str:
-    """Display label for an enum member, e.g. AttackVector.NETWORK -> 'Network'."""
-    return member.name.capitalize()
-
-
 @dataclass(frozen=True)
 class CvssVector:
-    """The eight base metrics of one CVSS v3.1 vector."""
+    """The eight base metrics of one CVSS v3.1 vector.
+
+    ``code`` numbers the 2,592 valid vectors 0..2591: a mixed-radix integer
+    whose digits are the metrics' positions in their enums, AV most
+    significant, so canonical enumeration order is code order.
+    """
 
     av: AttackVector
     ac: AttackComplexity
@@ -96,6 +97,13 @@ class CvssVector:
     c: ImpactLevel
     i: ImpactLevel
     a: ImpactLevel
+    code: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        code = 0
+        for (attr, _), radix in zip(_METRICS.values(), _RADICES):
+            code = code * radix + _ORDINAL[getattr(self, attr)]
+        object.__setattr__(self, "code", code)
 
 
 # Canonical metric order; doubles as the serialization order.
@@ -111,6 +119,21 @@ _METRICS: dict[str, tuple[str, type[Enum]]] = {
 }
 
 METRIC_NAMES = tuple(_METRICS)
+_ORDINAL = {member: k for _, enum in _METRICS.values() for k, member in enumerate(enum)}
+_RADICES = tuple(len(enum) for _, enum in _METRICS.values())
+
+
+def metric_labels(name: str) -> tuple[str, ...]:
+    """Display labels of metric ``name``'s values (AttackVector.NETWORK ->
+    'Network'), in the order of its code digit."""
+    return tuple(m.name.capitalize() for m in _METRICS[name][1])
+
+
+def metric_level(code, name: str):
+    """Position of metric ``name``'s value in its enum, read from a vector
+    code; ``code`` may be an int or an integer numpy array."""
+    k = METRIC_NAMES.index(name)
+    return code // math.prod(_RADICES[k + 1 :]) % _RADICES[k]
 
 
 def parse_vector(s: str, lenient: bool = False) -> CvssVector:

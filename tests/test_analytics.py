@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from cverisk.analytics import (
-    CATEGORICAL_FACTORS,
     ConditionalMatrix,
     DimensionMismatchError,
     Ecdf,
@@ -210,13 +209,16 @@ def test_conditional_unknown_factor():
 
 
 def test_combined_cia_factor_takes_the_worst_level():
-    sr = scored("AV:N/AC:L/PR:N/UI:N/S:U/C:N/I:L/A:N", 4.0)
-    extract = CATEGORICAL_FACTORS["combined_cia"].extract
-    from cverisk.model import SeverityThresholds
-
-    assert extract(sr, SeverityThresholds()) == "Low"
-    sr = scored("AV:N/AC:L/PR:N/UI:N/S:U/C:N/I:L/A:H", 7.0)
-    assert extract(sr, SeverityThresholds()) == "High"
+    batch = scored_batch(
+        [
+            ("AV:N/AC:L/PR:N/UI:N/S:U/C:N/I:L/A:N", 4.0),  # worst level Low
+            ("AV:A/AC:L/PR:N/UI:N/S:U/C:N/I:L/A:H", 7.0),  # worst level High
+            ("AV:L/AC:L/PR:N/UI:N/S:U/C:N/I:N/A:N", 0.0),  # worst level None
+        ]
+    )
+    cm = conditional_matrix(batch, "AV", "combined_cia")
+    assert cm.col_domain == ("None", "Low", "High")
+    assert cm.counts.tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0], [0, 0, 0]]
 
 
 def test_model_severity_factor_uses_model_classification():

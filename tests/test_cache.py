@@ -95,6 +95,30 @@ def test_read_rejects_duplicate_line(tmp_path):
     assert len(read_cache(path, lenient=True)) == 3
 
 
+def truncated_fixture(tmp_path, records=49):
+    """The shipped fixture cut cleanly after ``records`` records; its header
+    still says ``count: 200``."""
+    lines = SAMPLE_CACHE.read_text(encoding="utf-8").splitlines(keepends=True)
+    path = tmp_path / "truncated.jsonl"
+    path.write_text("".join(lines[: 1 + records]), encoding="utf-8")
+    return path
+
+
+def test_strict_read_rejects_header_count_mismatch(tmp_path):
+    with pytest.raises(CacheFormatError) as err:
+        read_cache(truncated_fixture(tmp_path))
+    assert err.value.line_no == 1
+    assert "200" in err.value.reason and "49" in err.value.reason
+
+
+def test_lenient_read_warns_once_on_header_count_mismatch(tmp_path, caplog):
+    with caplog.at_level(logging.WARNING, logger="cverisk.cache"):
+        records = read_cache(truncated_fixture(tmp_path), lenient=True)
+    assert len(records) == 49
+    assert len(caplog.records) == 1
+    assert "count" in caplog.text
+
+
 def test_read_rejects_record_missing_id(tmp_path):
     path = write_cache(some_records(1), tmp_path / "c.jsonl", retrieved_at=FIXED_TS)
     with path.open("a", encoding="utf-8", newline="\n") as fh:

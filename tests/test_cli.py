@@ -129,6 +129,15 @@ def test_corrupt_cache_is_data_error(runner, tmp_path):
     assert "bad cache" in result.output
 
 
+def test_truncated_cache_is_data_error(runner, tmp_path):
+    lines = SAMPLE_CACHE.read_text(encoding="utf-8").splitlines(keepends=True)
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(lines[:50]), encoding="utf-8")  # header says 200 records
+    result = runner.invoke(main, ["score", "--cache", str(cut), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3
+    assert "header count" in result.output
+
+
 def test_lenient_mode_rides_over_corrupt_lines(runner, cache_copy, tmp_path):
     with cache_copy.open("a", encoding="utf-8") as fh:
         fh.write("{broken json\n")

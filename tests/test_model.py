@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cverisk.encoding import DEFAULT_MAPS
+from cverisk.cache import read_cache
+from cverisk.encoding import DEFAULT_MAPS, AttributeMaps
 from cverisk.model import (
     ModelConfig,
     ModelWeights,
@@ -23,10 +24,16 @@ from cverisk.model import (
     score_record,
     score_records,
 )
-from cverisk.vector import VectorError, parse_vector
+from cverisk.vector import (
+    AttackComplexity,
+    AttackVector,
+    MissingMetricError,
+    PrivilegesRequired,
+    parse_vector,
+)
 
 import oracles
-from conftest import make_record
+from conftest import SAMPLE_CACHE, make_record
 
 UNIFORM = ModelWeights(1 / 3, 1 / 3, 1 / 3)
 
@@ -248,7 +255,7 @@ def test_score_record_without_vector():
 def test_score_record_bad_vector_chains_parser_error():
     with pytest.raises(ScoringError) as info:
         score_record(make_record(vector="CVSS:3.1/AV:N"))
-    assert isinstance(info.value.__cause__, VectorError)
+    assert isinstance(info.value.__cause__, MissingMetricError)
     assert "CVE-2024-12345" in str(info.value)
 
 
@@ -274,6 +281,65 @@ def test_score_records_splits_good_and_bad():
     assert [sr.record.cve_id for sr in scored] == ["CVE-2024-10000"]
     assert [(r.cve_id) for r, _ in skipped] == ["CVE-2024-10001", "CVE-2024-10002"]
     assert all(reason for _, reason in skipped)
+
+
+def test_score_records_reports_every_repeat_of_an_invalid_string():
+    bad = "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:X"
+    records = [
+        make_record(cve_id="CVE-2024-10000", vector=bad),
+        make_record(cve_id="CVE-2024-10001"),
+        make_record(cve_id="CVE-2024-10002", vector=bad),
+        make_record(cve_id="CVE-2024-10003", vector=bad),
+    ]
+    scored, skipped = score_records(records)
+    assert [sr.record.cve_id for sr in scored] == ["CVE-2024-10001"]
+    with pytest.raises(ScoringError) as info:
+        score_record(records[0])
+    assert skipped == [(records[k], info.value.reason) for k in (0, 2, 3)]
+
+
+CUSTOM_CONFIG = ModelConfig(
+    maps=AttributeMaps(
+        phi={AttackVector.NETWORK: 0.9, AttackVector.ADJACENT: 0.7,
+             AttackVector.LOCAL: 0.5, AttackVector.PHYSICAL: 0.1},
+        psi={AttackComplexity.LOW: 0.95, AttackComplexity.HIGH: 0.4},
+        omega={PrivilegesRequired.NONE: 1.0, PrivilegesRequired.LOW: 0.6,
+               PrivilegesRequired.HIGH: 0.2},
+    ),
+    weights=ModelWeights(0.2, 0.3, 0.5, 0.75, 0.5, 1.0, kappa=1.35, delta=0.05),
+    thresholds=SeverityThresholds(3.5, 6.5, 8.5),
+)
+
+
+@pytest.mark.parametrize(
+    "config, lenient",
+    [(None, False), (CUSTOM_CONFIG, False), (None, True), (CUSTOM_CONFIG, True)],
+    ids=["default", "custom", "default-lenient", "custom-lenient"],
+)
+def test_score_records_equals_score_record_per_record(config, lenient):
+    """The per-string and per-code sharing in score_records gives exactly the
+    records that scoring each one alone gives, including skip reasons."""
+    extra = [
+        "CVSS:3.0/AV:L/AC:H/PR:L/UI:R/S:C/C:L/I:N/A:H",
+        "CVSS:3.1/S:C/AV:L/AC:H/PR:L/UI:R/C:L/I:N/A:H",
+        "CVSS:3.0/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H",
+    ]
+    records = read_cache(SAMPLE_CACHE) + [
+        make_record(cve_id=f"CVE-2025-{20000 + k}", vector=vs) for k, vs in enumerate(extra * 2)
+    ]
+    expected, expected_skipped = [], []
+    for record in records:
+        try:
+            expected.append(score_record(record, config, lenient=lenient))
+        except ScoringError as exc:
+            expected_skipped.append((record, exc.reason))
+    scored, skipped = score_records(records, config, lenient=lenient)
+    assert scored == expected
+    assert skipped == expected_skipped
+    by_code = {}
+    for sr in scored:
+        first = by_code.setdefault(sr.vector.code, sr)
+        assert sr.vector is first.vector and sr.factors is first.factors
 
 
 def test_exhaustive_scoring_matches_bruteforce_classification(all_scored):

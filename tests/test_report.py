@@ -6,8 +6,9 @@ import math
 import jsonschema
 import pytest
 
+from cverisk.analytics import FactorMatrix, JointRiskConfig, correlation_matrix, joint_risk_index
 from cverisk.calibration import uniform_weights
-from cverisk.model import ModelConfig
+from cverisk.model import ModelConfig, score_records
 from cverisk.report import (
     SUMMARY_SCHEMA_PATH,
     EmptyDatasetError,
@@ -123,6 +124,18 @@ def test_joint_risk_table_and_top_ten(bundle):
     assert values[0] == max(indexed.values())
     for entry in top:
         assert indexed[entry["cve_id"]] == entry["index"]
+
+
+def test_joint_risk_column_equals_the_per_row_index(bundle, sample_records):
+    """Computing the index once per activation pattern changes no bit."""
+    scored = [sr for sr in score_records(sample_records)[0] if sr.record.official_score is not None]
+    fm = FactorMatrix.from_scored(scored)
+    corr = correlation_matrix(fm)
+    cfg = JointRiskConfig.from_data(corr, fm)
+    expected = [
+        (sr.record.cve_id, joint_risk_index(row, corr, cfg)) for sr, row in zip(scored, fm.rows)
+    ]
+    assert bundle.tables["joint_risk"][1] == expected
 
 
 def test_exclusions_are_honored(sample_records):

@@ -18,7 +18,10 @@ from cverisk.vector import (
     TrailingGarbageError,
     UnknownMetricValueError,
     UserInteraction,
+    METRIC_NAMES,
     VectorError,
+    metric_labels,
+    metric_level,
     parse_vector,
     serialize_vector,
 )
@@ -138,6 +141,27 @@ def test_roundtrip_every_combination():
         assert parse_vector(serialize_vector(v)) == v
         seen.add(v)
     assert len(seen) == 2592
+
+
+def test_codes_number_every_vector_in_canonical_order():
+    strings = list(all_vector_strings())
+    vectors = [parse_vector(vs) for vs in strings]
+    assert [v.code for v in vectors] == list(range(2592))
+    for vs, v in zip(strings, vectors):
+        letters = [token.split(":")[1] for token in vs.split("/")[1:]]
+        members = (v.av, v.ac, v.pr, v.ui, v.scope, v.c, v.i, v.a)
+        for name, (_, codes), letter, member in zip(METRIC_NAMES, METRIC_CODES, letters, members):
+            level = metric_level(v.code, name)
+            assert codes[level] == letter
+            assert metric_labels(name)[level] == member.name.capitalize()
+
+
+def test_code_ignores_metric_order_and_minor_revision():
+    shuffled = "CVSS:3.1/A:H/S:U/AV:N/C:H/UI:N/PR:N/I:H/AC:L"
+    old = "CVSS:3.0/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H"
+    code = parse_vector(CANONICAL).code
+    assert parse_vector(shuffled).code == code
+    assert parse_vector(old, lenient=True).code == code
 
 
 @given(st.data())
