@@ -4,7 +4,9 @@ NVD base scores."""
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,6 +15,10 @@ from .model import GRID_TOLERANCE, ModelWeights, ScoredRecord, official_scores
 
 DEFAULT_KAPPA_RANGE = (0.5, 2.0, 0.05)
 DEFAULT_LAMBDA_GRID = (0.25, 0.5, 0.75, 1.0)
+#: How far ``official * 10`` may sit from a whole number and still count as
+#: on the 0.1 grid (parsed decimals carry float dust).
+_OFF_GRID_SLACK = 1e-6
+_MAX_DELTA_DENOMINATOR = 100
 
 
 class EmptyCalibrationSetError(ValueError):
@@ -21,6 +27,12 @@ class EmptyCalibrationSetError(ValueError):
 
 class BadGridStepError(ValueError):
     """The simplex grid step must divide 1 evenly."""
+
+
+class OffGridError(ValueError):
+    """The exact weight search cannot put a value on its integer grid: an
+    official score off the 0.1 grid, or a ``delta`` without a common unit
+    with it."""
 
 
 def uniform_weights(kappa: float = 1.0, delta: float = 0.1) -> ModelWeights:
@@ -70,6 +82,99 @@ def calibrate_kappa(
     return float(grid[int(np.argmin(mse))])
 
 
+@dataclass(frozen=True)
+class _Groups:
+    """A calibration sample grouped by its (AV, AC, PR, C, I, A) levels."""
+
+    exploit: np.ndarray  # (G, 3): phi, psi, omega encodings
+    eta: np.ndarray  # (G, 3): C, I, A impact values
+    count: np.ndarray  # (G,): records per group
+    official_tenths: np.ndarray  # (G,): sum of official scores in 0.1 units
+    member: np.ndarray  # (n,): each record's group
+
+
+def _group_sample(cal: Sequence[ScoredRecord], maps: AttributeMaps = DEFAULT_MAPS) -> _Groups:
+    """Group by the only levels the composite reads; at most 648 groups.
+
+    Official scores must sit on the 0.1 grid, as NVD base scores do, so
+    that squared errors are whole numbers of 0.01.
+    """
+    officials = _official_scores(cal)
+    tenths = np.rint(officials * 10.0)
+    off_grid = np.flatnonzero(np.abs(officials * 10.0 - tenths) > _OFF_GRID_SLACK)
+    if off_grid.size:
+        record = cal[int(off_grid[0])].record
+        raise OffGridError(
+            f"{record.cve_id}: official score {record.official_score!r} is not on the 0.1 grid"
+        )
+    index: dict[tuple, int] = {}
+    member = np.array(
+        [
+            index.setdefault((v.av, v.ac, v.pr, v.c, v.i, v.a), len(index))
+            for v in (sr.vector for sr in cal)
+        ],
+        dtype=np.intp,
+    )
+    return _Groups(
+        exploit=np.array(
+            [[maps.phi[av], maps.psi[ac], maps.omega[pr]] for av, ac, pr, *_ in index]
+        ),
+        eta=np.array([[ETA[c], ETA[i], ETA[a]] for *_, c, i, a in index]),
+        count=np.bincount(member, minlength=len(index)).astype(float),
+        official_tenths=np.bincount(member, weights=tenths, minlength=len(index)),
+        member=member,
+    )
+
+
+def _units(delta: float) -> tuple[int, int]:
+    """``(per_point, per_delta)``: how many integer units one score point
+    and one ``delta`` step span, for the largest unit dividing both 0.1 and
+    ``delta``."""
+    for q in range(1, _MAX_DELTA_DENOMINATOR + 1):  # delta = p / q in lowest terms
+        p = round(delta * q)
+        if p > 0 and math.isclose(p / q, delta, rel_tol=1e-12):
+            per_point = math.lcm(10, q)
+            return per_point, p * per_point // q
+    raise OffGridError(f"delta {delta!r} has no exact common unit with the 0.1 score grid")
+
+
+def _products(
+    groups: _Groups, simplex: np.ndarray, lambdas: tuple[float, float, float]
+) -> np.ndarray:
+    """``10 * base_risk * impact`` for every group x simplex point, (G, S).
+
+    Takes the float steps of ``model.base_risk`` and ``impact_score`` in the
+    same order, element-wise; a matmul may sum in another order and move
+    the last bit.
+    """
+    exploit, eta = groups.exploit, groups.eta
+    base = (
+        simplex[:, 0] * exploit[:, :1]
+        + simplex[:, 1] * exploit[:, 1:2]
+        + simplex[:, 2] * exploit[:, 2:]
+    )
+    lam_c, lam_i, lam_a = lambdas
+    impact = 1.0 - (1.0 - lam_c * eta[:, 0]) * (1.0 - lam_i * eta[:, 1]) * (1.0 - lam_a * eta[:, 2])
+    return 10.0 * base * impact[:, None]
+
+
+def _score_units(
+    products: np.ndarray, kappa: float, delta: float, per_delta: int, cap: int, out: np.ndarray
+) -> np.ndarray:
+    """Composite scores at ``kappa`` in integer units, written into ``out``.
+
+    The float steps are ``model.composite_score``'s, so each count of
+    ``delta`` steps is the scalar path's; the count is then scaled to units
+    and capped at ``cap`` (10 points) exactly.
+    """
+    np.multiply(products, kappa, out=out)
+    out /= delta
+    out -= GRID_TOLERANCE
+    np.ceil(out, out=out)
+    out *= per_delta
+    return np.minimum(out, cap, out=out)
+
+
 def calibrate_weights(
     cal: Sequence[ScoredRecord],
     grid_step: float = 0.05,
@@ -82,44 +187,52 @@ def calibrate_weights(
     """Coarse grid search over the exploitability simplex and CIA weights.
 
     Every (alpha, beta, gamma, lambda_c, lambda_i, lambda_a) cell refits
-    kappa on its own grid before the cell's MSE is measured. The overall
-    argmin wins; exact ties break by lexicographic order of the weight tuple.
+    kappa on its own grid, the smallest kappa winning ties. Cells compare by
+    their exact sum of squared errors, in integer units of the 0.1 grid
+    official scores sit on; the lowest wins, and equal sums go to the
+    lexicographically smallest full weight tuple, across all lambda
+    triples. Records are grouped by their (AV, AC, PR, C, I, A) levels
+    first, so the cost is bounded by the at most 648 distinct keys, not by
+    the sample size.
+
+    Raises ``OffGridError`` for an official score off the 0.1 grid or a
+    ``delta`` the integer units cannot represent.
     """
-    officials = _official_scores(cal)
+    groups = _group_sample(cal, maps)
     if grid_step <= 0.0 or abs(round(1.0 / grid_step) * grid_step - 1.0) > 1e-9:
         raise BadGridStepError(f"grid step {grid_step} does not divide 1 evenly")
     n_div = round(1.0 / grid_step)
+    per_point, per_delta = _units(delta)
+    cap = 10 * per_point
+    official_units = groups.official_tenths * (per_point // 10)
+    if 2.0 * len(cal) * cap**2 >= 2.0**53:
+        raise OffGridError(f"{len(cal)} records overflow the exact error sums at delta {delta!r}")
 
-    exploit = np.array(
-        [[maps.phi[sr.vector.av], maps.psi[sr.vector.ac], maps.omega[sr.vector.pr]] for sr in cal]
+    # ascending lexicographic order, as are the lambda triples below
+    simplex = np.array(
+        [
+            (i / n_div, j / n_div, (n_div - i - j) / n_div)
+            for i in range(n_div + 1)
+            for j in range(n_div - i + 1)
+        ]
     )
-    eta_cia = np.array([[ETA[sr.vector.c], ETA[sr.vector.i], ETA[sr.vector.a]] for sr in cal])
-
-    simplex = [
-        (i * grid_step, j * grid_step, (n_div - i - j) * grid_step)
-        for i in range(n_div + 1)
-        for j in range(n_div - i + 1)
-    ]
-    base = exploit @ np.array(simplex).T  # (n, S), simplex in ascending lex order
     kappas = _kappa_grid(*kappa_range)
-
-    best_mse = np.inf
-    best: tuple[tuple[float, ...], float] | None = None
-    for lambdas in itertools.product(sorted(lambda_grid), repeat=3):
-        impact = 1.0 - np.prod(1.0 - np.asarray(lambdas) * eta_cia, axis=1)
-        products = 10.0 * base * impact[:, None]
-        scores = np.minimum(
-            10.0, np.ceil(products[:, :, None] * kappas / delta - GRID_TOLERANCE) * delta
-        )
-        mse = ((scores - officials[:, None, None]) ** 2).mean(axis=0)  # (S, K)
-        kappa_idx = np.argmin(mse, axis=1)  # first minimum = smallest kappa
-        cell_mse = mse[np.arange(len(simplex)), kappa_idx]
-        for s, point in enumerate(simplex):
-            candidate = (*point, *lambdas)
-            m = float(cell_mse[s])
-            if best is None or m < best_mse or (m == best_mse and candidate < best[0]):
-                best_mse = m
-                best = (candidate, float(kappas[kappa_idx[s]]))
-    assert best is not None
-    (alpha, beta, gamma, lam_c, lam_i, lam_a), kappa = best
-    return ModelWeights(alpha, beta, gamma, lam_c, lam_i, lam_a, kappa, delta)
+    triples = list(itertools.product(sorted(lambda_grid), repeat=3))
+    cell_sse = np.empty((len(simplex), len(triples)))
+    cell_kappa = np.empty((len(simplex), len(triples)), dtype=np.intp)
+    units = np.empty((len(groups.count), len(simplex)))
+    sse = np.empty((len(simplex), len(kappas)))
+    for t, lambdas in enumerate(triples):
+        products = _products(groups, simplex, lambdas)
+        for k, kappa in enumerate(kappas):
+            _score_units(products, kappa, delta, per_delta, cap, out=units)
+            # SSE minus the constant sum of squared officials. Every term is
+            # an integer below 2**53, so these float sums are exact in any order.
+            cross = official_units @ units
+            sse[:, k] = groups.count @ np.square(units, out=units) - 2.0 * cross
+        cell_kappa[:, t] = np.argmin(sse, axis=1)  # first minimum = smallest kappa
+        cell_sse[:, t] = sse[np.arange(len(simplex)), cell_kappa[:, t]]
+    # The first minimum in row-major order has the smallest full tuple.
+    s, t = np.unravel_index(np.argmin(cell_sse), cell_sse.shape)
+    alpha, beta, gamma = (float(x) for x in simplex[s])
+    return ModelWeights(alpha, beta, gamma, *triples[t], float(kappas[cell_kappa[s, t]]), delta)

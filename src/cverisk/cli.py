@@ -16,11 +16,12 @@ from .cache import CacheError, body_sha256, read_cache, read_header, write_cache
 from .calibration import (
     BadGridStepError,
     EmptyCalibrationSetError,
+    OffGridError,
     calibrate_kappa,
     calibrate_weights,
     uniform_weights,
 )
-from .config import ConfigError, config_to_dict, load_config, save_config
+from .config import ConfigError, config_to_dict, load_config, save_config, write_text_atomic
 from .model import ModelConfig, score_records
 from .nvd import IngestWindow, NvdError, WindowTooLargeError, fetch_window
 from .report import (
@@ -176,7 +177,9 @@ def calibrate(cache_path: str, out_dir: str, n_cal: int, seed: int, grid_step: f
     try:
         sample = _calibration_sample(records, n_cal, seed, lenient=not strict)
         weights = calibrate_weights(sample, grid_step=grid_step)
-    except (InsufficientRecordsError, EmptyCalibrationSetError, BadGridStepError) as exc:
+    except (
+        InsufficientRecordsError, EmptyCalibrationSetError, BadGridStepError, OffGridError
+    ) as exc:
         _fail(EXIT_DATA, str(exc))
     config = ModelConfig(weights=weights)
     out = Path(out_dir)
@@ -185,7 +188,7 @@ def calibrate(cache_path: str, out_dir: str, n_cal: int, seed: int, grid_step: f
         save_config(config, out / "model_config.txt")
         ids = "".join(f"{sr.record.cve_id}\n" for sr in sorted(
             sample, key=lambda sr: sr.record.cve_id))
-        (out / "calibration_ids.txt").write_text(ids, encoding="utf-8")
+        write_text_atomic(out / "calibration_ids.txt", ids)
     except OSError as exc:
         _fail(EXIT_IO, f"cannot write to {out_dir}: {exc}")
     click.echo(

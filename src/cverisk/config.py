@@ -18,6 +18,7 @@ writes values at full precision so a save/load round trip is exact.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from .encoding import AttributeMaps
@@ -95,11 +96,27 @@ def load_config(path) -> ModelConfig:
     return config_from_dict(values)
 
 
+def write_text_atomic(path, text: str) -> Path:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory and ``os.replace``: a failure midway leaves ``path`` as it was
+    and removes the temporary file, so no partial file is ever left."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def save_config(config: ModelConfig, path) -> Path:
-    """Write a config in the same format ``load_config`` reads."""
+    """Write a config in the same format ``load_config`` reads, atomically."""
     lines = ["# model constants; see cverisk.config for the key schema"]
     for key, value in config_to_dict(config).items():
         lines.append(f"{key} = {value!r}")
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_text_atomic(path, "\n".join(lines) + "\n")

@@ -116,3 +116,32 @@ def trapezoid(ys, xs):
     return sum(
         0.5 * (ys[k] + ys[k + 1]) * (xs[k + 1] - xs[k]) for k in range(len(xs) - 1)
     )
+
+
+def best_weights(encodings, officials, n_div, lambda_grid, lo=0.5, hi=2.0, step=0.05):
+    """Every cell of the weight grid, scored by exact squared error in whole
+    0.1 units (delta = 0.1). The lowest error wins; equal errors go to the
+    smaller (alpha, beta, gamma, lambda_c, lambda_i, lambda_a) tuple, then
+    to the smaller kappa. ``encodings`` holds one (phi, psi, omega, eta_c,
+    eta_i, eta_a) tuple per record; returns the tuple with kappa appended."""
+    targets = [round(o * 10) for o in officials]
+    kappas = [lo + step * k for k in range(round((hi - lo) / step) + 1)]
+    lambdas = sorted(lambda_grid)
+    best = None
+    for i in range(n_div + 1):
+        for j in range(n_div - i + 1):
+            a, b, g = i / n_div, j / n_div, (n_div - i - j) / n_div
+            for lc in lambdas:
+                for li in lambdas:
+                    for la in lambdas:
+                        for kappa in kappas:
+                            sse = 0
+                            for (phi, psi, omega, ec, ei, ea), t in zip(encodings, targets):
+                                rb = a * phi + b * psi + g * omega
+                                impact = 1.0 - (1.0 - lc * ec) * (1.0 - li * ei) * (1.0 - la * ea)
+                                x = 10.0 * rb * impact * kappa
+                                sse += (min(100, math.ceil(x / 0.1 - 1e-9)) - t) ** 2
+                            key = (sse, (a, b, g, lc, li, la), kappa)
+                            if best is None or key < best:
+                                best = key
+    return (*best[1], best[2])

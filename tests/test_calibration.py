@@ -1,13 +1,20 @@
 """Grid-search calibration: planted-value recovery, tie-breaking, and the
-brute-force grid oracle."""
+brute-force grid oracles."""
 
+import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cverisk.calibration import (
     BadGridStepError,
     EmptyCalibrationSetError,
+    OffGridError,
+    _group_sample,
+    _products,
+    _score_units,
+    _units,
     calibrate_kappa,
     calibrate_weights,
     uniform_weights,
@@ -190,3 +197,74 @@ def test_calibrate_weights_is_argmin_over_its_grid(sample_scored):
     ]
     for alpha, beta, gamma, lambdas in candidates:
         assert fitted_mse <= mse_with_kappa_refit(alpha, beta, gamma, lambdas) + 1e-9
+
+
+def weight_tuple(w):
+    return (w.alpha, w.beta, w.gamma, w.lambda_c, w.lambda_i, w.lambda_a, w.kappa)
+
+
+def seeded_set(all_scored, seed, n=30):
+    """``n`` records over a dozen distinct vectors, so groups hold several
+    records, with noisy official scores on the 0.1 grid."""
+    rng = random.Random(seed)
+    picks = rng.sample(all_scored, 12)
+    cal = []
+    for k in range(n):
+        sr = rng.choice(picks)
+        noisy = sr.composite * rng.uniform(0.8, 1.6) + rng.gauss(0.0, 0.3)
+        official = round(min(10.0, max(0.0, noisy)), 1)
+        rec = make_record(
+            cve_id=f"CVE-2024-{70000 + k}", vector=sr.record.vector_string, official=official
+        )
+        cal.append(score_record(rec))
+    return cal
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_calibrate_weights_matches_bruteforce_oracle(all_scored, seed):
+    cal = seeded_set(all_scored, seed)
+    encodings = [tuple(sr.factors[k] for k in (0, 1, 2, 5, 6, 7)) for sr in cal]
+    officials = [sr.record.official_score for sr in cal]
+    got = calibrate_weights(cal, grid_step=0.25, lambda_grid=(0.5, 1.0))
+    assert weight_tuple(got) == oracles.best_weights(encodings, officials, 4, (0.5, 1.0))
+
+
+def test_calibrate_weights_breaks_the_fixture_tie_lexicographically(sample_scored):
+    """(0.25, 0.35, 0.4) and (0.3, 0.3, 0.4), both with lambdas 1 and kappa
+    1.15, have exactly the same squared error on this sample; the
+    lexicographically smaller tuple must win."""
+    pool = sorted(sample_scored, key=lambda sr: sr.record.cve_id)
+    got = calibrate_weights(random.Random(0).sample(pool, 100))
+    assert weight_tuple(got)[:6] == (0.25, 0.35, 0.4, 1.0, 1.0, 1.0)
+    assert got.kappa == 1.15
+
+
+def test_calibrate_weights_ignores_repeating_every_record(sample_scored):
+    cal = sample_scored[:60]
+    tripled = [sr for sr in cal for _ in range(3)]
+    assert calibrate_weights(tripled) == calibrate_weights(cal)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.05, 0.5])
+def test_search_score_units_equal_scalar_composites(sample_scored, delta):
+    """The units the search compares at its returned cell are the returned
+    config's own composites, so the kappa it picks is best for that config."""
+    cal = sample_scored[:80]
+    w = calibrate_weights(cal, delta=delta)
+    groups = _group_sample(cal)
+    per_point, per_delta = _units(delta)
+    simplex = np.array([[w.alpha, w.beta, w.gamma]])
+    products = _products(groups, simplex, (w.lambda_c, w.lambda_i, w.lambda_a))
+    units = _score_units(
+        products, w.kappa, delta, per_delta, 10 * per_point, out=np.empty_like(products)
+    )
+    cfg = ModelConfig(weights=w)
+    for sr, group in zip(cal, groups.member):
+        assert units[group, 0] == round(score_record(sr.record, cfg).composite * per_point)
+
+
+def test_calibrate_weights_rejects_off_grid_officials_and_inexact_deltas():
+    with pytest.raises(OffGridError, match="CVE-2024-30001"):
+        calibrate_weights([fake_scored(5.0, 5.0, 0), fake_scored(5.0, 7.25, 1)])
+    with pytest.raises(OffGridError, match="delta"):
+        calibrate_weights([fake_scored(5.0, 5.0)], delta=0.1234567)

@@ -1,6 +1,7 @@
 """End-to-end CLI runs against the packaged sample cache, plus exit-code
 contracts for the usual failure modes."""
 
+import errno
 import shutil
 
 import pytest
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 
 import cverisk.cli as cli_module
 from cverisk import __version__
+from cverisk.cache import write_cache
 from cverisk.cli import main
 from cverisk.nvd import NetworkError
 
@@ -166,6 +168,77 @@ def test_calibrate_bad_grid_step(runner, cache_copy, tmp_path):
          "--n-cal", "50", "--grid-step", "0.3"],
     )
     assert result.exit_code == 3
+
+
+CALIBRATED_SEED_0 = """\
+# model constants; see cverisk.config for the key schema
+alpha = 0.25
+beta = 0.35
+gamma = 0.4
+lambda_c = 1.0
+lambda_i = 1.0
+lambda_a = 1.0
+kappa = 1.15
+delta = 0.1
+tau1 = 4.0
+tau2 = 7.0
+tau3 = 9.0
+phi.N = 1.0
+phi.A = 0.7294117647058823
+phi.L = 0.6470588235294118
+phi.P = 0.23529411764705885
+psi.L = 1.0
+psi.H = 0.5714285714285714
+omega.N = 1.0
+omega.L = 0.7294117647058823
+omega.H = 0.31764705882352945
+eta.N = 0.0
+eta.L = 0.22
+eta.H = 0.56
+"""
+
+
+def test_calibrate_writes_grid_weights_at_their_shortest_repr(runner, cache_copy, tmp_path):
+    out = tmp_path / "cal"
+    result = runner.invoke(
+        main,
+        ["calibrate", "--cache", str(cache_copy), "--out", str(out), "--n-cal", "100",
+         "--seed", "0"],
+    )
+    assert result.exit_code == 0, result.output
+    assert (out / "model_config.txt").read_text(encoding="utf-8") == CALIBRATED_SEED_0
+
+
+def test_calibrate_off_grid_official_is_data_error(runner, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    write_cache(
+        [make_record(cve_id="CVE-2024-00001", official=9.8),
+         make_record(cve_id="CVE-2024-00002", official=7.25)],
+        cache,
+    )
+    result = runner.invoke(
+        main, ["calibrate", "--cache", str(cache), "--out", str(tmp_path / "o"), "--n-cal", "2"]
+    )
+    assert result.exit_code == 3
+    assert "CVE-2024-00002: official score 7.25 is not on the 0.1 grid" in result.output
+
+
+def test_calibrate_write_failure_leaves_no_partial_file(runner, cache_copy, tmp_path, monkeypatch):
+    args = ["calibrate", "--cache", str(cache_copy), "--n-cal", "50", "--grid-step", "0.25"]
+    kept = tmp_path / "kept"
+    assert runner.invoke(main, [*args, "--seed", "1", "--out", str(kept)]).exit_code == 0
+    before = {p.name: p.read_bytes() for p in kept.iterdir()}
+
+    def no_space(fd):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("os.fsync", no_space)  # fails after the temp file has its text
+    fresh = tmp_path / "fresh"
+    for out, files in ((fresh, {}), (kept, before)):
+        result = runner.invoke(main, [*args, "--seed", "2", "--out", str(out)])
+        assert result.exit_code == 5
+        assert "No space left on device" in result.output
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == files
 
 
 def test_analyze_bad_config_file(runner, cache_copy, tmp_path):
