@@ -480,12 +480,11 @@ def midranks(values: Iterable[float]) -> np.ndarray:
     v = np.asarray(list(values), dtype=float)
     order = np.argsort(v, kind="stable")
     sorted_v = v[order]
+    # NaN != NaN, so each NaN is a group of its own, after every number.
+    starts = np.flatnonzero(np.r_[True, sorted_v[1:] != sorted_v[:-1]])
+    stops = np.r_[starts[1:], v.size]
     ranks = np.empty(v.size, dtype=float)
-    start = 0
-    for stop in range(1, v.size + 1):
-        if stop == v.size or sorted_v[stop] != sorted_v[start]:
-            ranks[order[start:stop]] = 0.5 * (start + stop + 1)
-            start = stop
+    ranks[order] = np.repeat(0.5 * (starts + stops + 1), stops - starts)
     return ranks
 
 

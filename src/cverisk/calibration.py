@@ -53,10 +53,22 @@ def _kappa_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(round((hi - lo) / step) + 1)
 
 
-def _rounded_scores(products: np.ndarray, kappas: np.ndarray, delta: float) -> np.ndarray:
-    """Composite scores (rounded and capped) for every record x kappa pair."""
-    raw = products[:, None] * kappas[None, :]
-    return np.minimum(10.0, np.ceil(raw / delta - GRID_TOLERANCE) * delta)
+def fit_kappa(
+    products: np.ndarray, officials: np.ndarray, lo: float, hi: float, step: float, delta: float
+) -> float:
+    """The grid kappa whose composites of ``products`` (``10 * base_risk *
+    impact`` per record) have the least MSE against ``officials``.
+
+    Candidate scores go through the full composite pipeline (scale to 0-10,
+    round up to the ``delta`` grid, cap at 10). Ties break toward the
+    smaller kappa.
+    """
+    grid = _kappa_grid(lo, hi, step)
+    raw = products[:, None] * grid[None, :]
+    scores = np.minimum(10.0, np.ceil(raw / delta - GRID_TOLERANCE) * delta)
+    mse = ((scores - officials[:, None]) ** 2).mean(axis=0)
+    # np.argmin returns the first minimum, which is the smallest kappa.
+    return float(grid[int(np.argmin(mse))])
 
 
 def calibrate_kappa(
@@ -67,19 +79,9 @@ def calibrate_kappa(
     *,
     delta: float = 0.1,
 ) -> float:
-    """Return the grid kappa that minimizes MSE against the official scores.
-
-    Candidate scores go through the full composite pipeline (scale to 0-10,
-    round up to the ``delta`` grid, cap at 10). Ties break toward the
-    smaller kappa.
-    """
-    officials = _official_scores(cal)
+    """``fit_kappa`` on a calibration set's own products and official scores."""
     products = np.array([10.0 * sr.base_risk * sr.impact for sr in cal])
-    grid = _kappa_grid(lo, hi, step)
-    scores = _rounded_scores(products, grid, delta)
-    mse = ((scores - officials[:, None]) ** 2).mean(axis=0)
-    # np.argmin returns the first minimum, which is the smallest kappa.
-    return float(grid[int(np.argmin(mse))])
+    return fit_kappa(products, _official_scores(cal), lo, hi, step, delta)
 
 
 @dataclass(frozen=True)

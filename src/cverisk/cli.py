@@ -25,11 +25,13 @@ from .config import ConfigError, config_to_dict, load_config, save_config, write
 from .model import ModelConfig, score_records
 from .nvd import IngestWindow, NvdError, WindowTooLargeError, fetch_window
 from .report import (
+    SCORE_HEADER,
     EmptyDatasetError,
     ReportBundle,
     UnscoreableAllError,
     build_bundle,
     render_executive_summary,
+    score_rows,
     write_bundle,
     write_csv,
 )
@@ -166,7 +168,8 @@ def _calibration_sample(records, n_cal: int, seed: int, lenient: bool):
 @main.command()
 @click.option("--cache", "cache_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--n-cal", default=200, show_default=True, help="Calibration sample size.")
+@click.option("--n-cal", default=200, show_default=True, type=click.IntRange(min=0),
+              help="Calibration sample size.")
 @click.option("--seed", default=0, show_default=True, help="Sampling seed.")
 @click.option("--grid-step", default=0.05, show_default=True, help="Weight grid resolution.")
 @click.option("--strict/--lenient", "strict", default=True,
@@ -215,24 +218,10 @@ def score(cache_path: str, config_path: str | None, baseline: str | None, out_di
     if not scored:
         _fail(EXIT_DATA, "no record in the cache could be scored")
     out = Path(out_dir)
-    rows = [
-        (
-            sr.record.cve_id,
-            "" if sr.record.official_score is None else sr.record.official_score,
-            sr.base_risk,
-            sr.impact,
-            sr.composite,
-            sr.severity.label,
-        )
-        for sr in scored
-    ]
+    rows = score_rows(scored)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        write_csv(
-            out / "scores.csv",
-            ("cve_id", "official_score", "base_risk", "impact_score", "composite_score", "severity"),
-            rows,
-        )
+        write_csv(out / "scores.csv", SCORE_HEADER, rows)
         write_csv(
             out / "skip_report.csv",
             ("cve_id", "reason"),
@@ -278,7 +267,7 @@ def analyze(cache_path, config_path, baseline, out_dir, seed, exclude_path, fmt,
             seed=seed,
             cache_info=_cache_info(cache_path, header),
         )
-    except (EmptyDatasetError, UnscoreableAllError, EmptyCalibrationSetError) as exc:
+    except (EmptyDatasetError, UnscoreableAllError) as exc:
         _fail(EXIT_DATA, str(exc))
     try:
         written = write_bundle(bundle, out_dir, fmt)
@@ -303,13 +292,13 @@ def report(bundle_dir: str):
         _fail(EXIT_IO, f"cannot read {summary_path}: {exc}")
     except ValueError as exc:
         _fail(EXIT_DATA, f"summary.json is not valid JSON: {exc}")
-    missing = [name for name in summary.get("tables", []) if not (out / f"{name}.csv").exists()]
-    if missing:
-        _fail(EXIT_DATA, f"bundle is missing tables: {', '.join(missing)}")
     try:
+        missing = [name for name in summary.get("tables", []) if not (out / f"{name}.csv").exists()]
+        if missing:
+            _fail(EXIT_DATA, f"bundle is missing tables: {', '.join(missing)}")
         text = render_executive_summary(summary)
-    except (KeyError, TypeError) as exc:
-        _fail(EXIT_DATA, f"summary.json is missing fields: {exc!r}")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        _fail(EXIT_DATA, f"summary.json is malformed: {exc!r}")
     try:
         (out / "executive_summary.txt").write_text(text, encoding="utf-8")
     except OSError as exc:

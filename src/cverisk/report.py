@@ -29,14 +29,15 @@ from .analytics import (
     mae,
     spearman_rho,
 )
-from .calibration import calibrate_kappa, uniform_weights
+from .calibration import DEFAULT_KAPPA_RANGE, fit_kappa, uniform_weights
 from .config import config_to_dict
-from .model import ModelConfig, composite_score, score_records
+from .model import ModelConfig, _score_vector, composite_score, score_records
 from .records import CveRecord
 
 SCORE_BINS = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 BIN_LABELS = ("[0,2)", "[2,4)", "[4,6)", "[6,8)", "[8,10]")
 HIGH_RISK_THRESHOLD = 7.0
+SCORE_HEADER = ("cve_id", "official_score", "base_risk", "impact_score", "composite_score", "severity")
 SUMMARY_SCHEMA_PATH = Path(__file__).parent / "schemas" / "summary.schema.json"
 
 Table = tuple[tuple[str, ...], list[tuple]]
@@ -127,11 +128,28 @@ def _safe_spearman(pred, truth):
         return math.nan
 
 
-def _method_comparison(scored, config: ModelConfig, lenient: bool) -> list[tuple]:
+def score_rows(scored) -> list[tuple]:
+    """One ``SCORE_HEADER`` row per scored record; a missing official score
+    is a blank cell."""
+    return [
+        (
+            sr.record.cve_id,
+            "" if sr.record.official_score is None else sr.record.official_score,
+            sr.base_risk,
+            sr.impact,
+            sr.composite,
+            sr.severity.label,
+        )
+        for sr in scored
+    ]
+
+
+def _method_comparison(scored, officials: np.ndarray, config: ModelConfig) -> list[tuple]:
     """Model-vs-official agreement for the active config and for the
-    equal-weight preset with its scale refit on the same records."""
-    officials = [sr.record.official_score for sr in scored]
+    equal-weight preset with its scale refit on the same records; the
+    preset scores each distinct vector code once."""
     model_scores = [sr.composite for sr in scored]
+    delta = config.weights.delta
     rows = [
         (
             "weighted_model",
@@ -140,12 +158,15 @@ def _method_comparison(scored, config: ModelConfig, lenient: bool) -> list[tuple
             config.weights.kappa,
         )
     ]
-    preset = uniform_weights(delta=config.weights.delta)
-    preset_cfg = ModelConfig(maps=config.maps, weights=preset, thresholds=config.thresholds)
-    preset_scored, _ = score_records([sr.record for sr in scored], preset_cfg, lenient=lenient)
-    kappa = calibrate_kappa(preset_scored, delta=config.weights.delta)
-    refit = uniform_weights(kappa, delta=config.weights.delta)
-    preset_scores = [composite_score(sr.base_risk, sr.impact, refit) for sr in preset_scored]
+    preset_cfg = ModelConfig(config.maps, uniform_weights(delta=delta), config.thresholds)
+    codes = [sr.vector.code for sr in scored]
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    # (base_risk, impact) under the preset, once per distinct code
+    preset = [_score_vector(scored[k].vector, preset_cfg)[2:4] for k in first]
+    products = np.array([10.0 * rb * impact for rb, impact in preset])
+    kappa = fit_kappa(products[inverse], officials, *DEFAULT_KAPPA_RANGE, delta)
+    refit = uniform_weights(kappa, delta=delta)
+    preset_scores = np.array([composite_score(rb, impact, refit) for rb, impact in preset])[inverse]
     rows.append(
         (
             "uniform_baseline",
@@ -437,21 +458,8 @@ def build_bundle(
     tables["joint_risk"] = (("cve_id", "joint_risk_index"), jr_rows)
 
     # ---- model scores and agreement -----------------------------------------
-    tables["model_scores"] = (
-        ("cve_id", "official_score", "base_risk", "impact_score", "composite_score", "severity"),
-        [
-            (
-                sr.record.cve_id,
-                sr.record.official_score,
-                sr.base_risk,
-                sr.impact,
-                sr.composite,
-                sr.severity.label,
-            )
-            for sr in scored
-        ],
-    )
-    comparison = _method_comparison(scored, config, lenient)
+    tables["model_scores"] = (SCORE_HEADER, score_rows(scored))
+    comparison = _method_comparison(scored, officials, config)
     tables["method_comparison"] = (("method", "mae", "spearman_rho", "kappa"), [
         (method, m, _cell(rho), kappa) for method, m, rho, kappa in comparison
     ])

@@ -544,6 +544,14 @@ def test_midranks_average_ties():
     assert list(midranks(values)) == oracles.midranks(values)
 
 
+def test_midranks_put_each_nan_last_in_input_order():
+    nan = math.nan
+    assert list(midranks([nan, 1.0, nan])) == [2.0, 1.0, 3.0]
+    assert list(midranks([2.0, nan, 2.0, 1.0, nan])) == [2.5, 4.0, 2.5, 1.0, 5.0]
+    assert list(midranks([nan])) == [1.0]
+    assert midranks([]).size == 0
+
+
 def test_spearman_identity_and_reversal():
     xs = [1.0, 2.0, 3.0, 4.0]
     assert spearman_rho(xs, xs) == pytest.approx(1.0, abs=1e-12)

@@ -2,6 +2,7 @@
 contracts for the usual failure modes."""
 
 import errno
+import json
 import shutil
 
 import pytest
@@ -161,6 +162,15 @@ def test_calibrate_insufficient_records(runner, cache_copy, tmp_path):
     assert "need 500" in result.output
 
 
+@pytest.mark.parametrize(("n_cal", "code"), [("-1", 2), ("0", 3)])
+def test_calibrate_sample_size_bounds(runner, cache_copy, tmp_path, n_cal, code):
+    result = runner.invoke(
+        main, ["calibrate", "--cache", str(cache_copy), "--out", str(tmp_path), "--n-cal", n_cal]
+    )
+    assert result.exit_code == code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_calibrate_bad_grid_step(runner, cache_copy, tmp_path):
     result = runner.invoke(
         main,
@@ -284,6 +294,27 @@ def test_report_detects_missing_tables(runner, cache_copy, tmp_path):
     result = runner.invoke(main, ["report", "--bundle", str(out_dir)])
     assert result.exit_code == 3
     assert "ecdf" in result.output
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda summary: [],
+        lambda summary: {"tables": 5},
+        lambda summary: {**summary, "official_score": {**summary["official_score"], "mean": "x"}},
+    ],
+    ids=["list", "tables-not-a-list", "string-for-a-number"],
+)
+def test_report_rejects_a_summary_of_the_wrong_shape(runner, cache_copy, tmp_path, edit):
+    out_dir = tmp_path / "bundle"
+    assert runner.invoke(
+        main, ["analyze", "--cache", str(cache_copy), "--out", str(out_dir)]
+    ).exit_code == 0
+    path = out_dir / "summary.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))), encoding="utf-8")
+    result = runner.invoke(main, ["report", "--bundle", str(out_dir)])
+    assert result.exit_code == 3, result.output
+    assert "summary.json is malformed" in result.output
 
 
 # --- ingest (network layer monkeypatched) -----------------------------------

@@ -2,13 +2,21 @@
 
 import json
 import math
+from dataclasses import replace
 
 import jsonschema
 import pytest
 
-from cverisk.analytics import FactorMatrix, JointRiskConfig, correlation_matrix, joint_risk_index
-from cverisk.calibration import uniform_weights
-from cverisk.model import ModelConfig, score_records
+from cverisk.analytics import (
+    FactorMatrix,
+    JointRiskConfig,
+    correlation_matrix,
+    joint_risk_index,
+    mae,
+    spearman_rho,
+)
+from cverisk.calibration import calibrate_kappa, uniform_weights
+from cverisk.model import ModelConfig, ModelWeights, composite_score, score_records
 from cverisk.report import (
     SUMMARY_SCHEMA_PATH,
     EmptyDatasetError,
@@ -257,3 +265,47 @@ def test_summary_json_bytes_are_canonical(bundle, tmp_path):
     raw = (tmp_path / "summary.json").read_text(encoding="utf-8")
     assert raw.endswith("\n")
     assert raw == json.dumps(json.loads(raw), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def _two_pass_uniform_row(records, config, lenient):
+    """The uniform baseline as computed by rescoring every record: the
+    preset scored through ``score_records``, kappa refit with
+    ``calibrate_kappa``, then one ``composite_score`` per record."""
+    scored, _ = score_records(records, config, lenient=lenient)
+    scored = [sr for sr in scored if sr.record.official_score is not None]
+    officials = [sr.record.official_score for sr in scored]
+    delta = config.weights.delta
+    preset_cfg = ModelConfig(config.maps, uniform_weights(delta=delta), config.thresholds)
+    preset_scored, _ = score_records([sr.record for sr in scored], preset_cfg, lenient=lenient)
+    kappa = calibrate_kappa(preset_scored, delta=delta)
+    refit = uniform_weights(kappa, delta=delta)
+    preset_scores = [composite_score(sr.base_risk, sr.impact, refit) for sr in preset_scored]
+    return {
+        "method": "uniform_baseline",
+        "mae": mae(preset_scores, officials),
+        "spearman_rho": spearman_rho(preset_scores, officials),
+        "kappa": kappa,
+    }
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        ModelWeights(1 / 3, 1 / 3, 1 / 3),
+        ModelWeights(0.3, 0.3, 0.4, 1.0, 0.75, 0.75, kappa=1.15),
+        ModelWeights(0.2, 0.5, 0.3, 0.5, 1.0, 0.25, kappa=0.9, delta=0.05),
+    ],
+)
+def test_uniform_baseline_matches_the_two_pass_computation(sample_records, weights):
+    # Every third vector under the CVSS:3.0 prefix, which only lenient mode reads.
+    records = [
+        replace(r, vector_string=r.vector_string.replace("CVSS:3.1", "CVSS:3.0"))
+        if r.vector_string and k % 3 == 0
+        else r
+        for k, r in enumerate(sample_records)
+    ]
+    config = ModelConfig(weights=weights)
+    bundle = build_bundle(records, config, lenient=True)
+    baseline = bundle.summary["method_comparison"][1]
+    assert baseline == _two_pass_uniform_row(records, config, lenient=True)
+    assert bundle.summary["dataset"]["records_analyzed"] == 190
