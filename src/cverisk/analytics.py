@@ -20,7 +20,7 @@ class TooFewRowsError(ValueError):
 
 
 class UnknownFactorError(ValueError):
-    """A factor or score selector name is not registered."""
+    """A categorical factor name is not registered."""
 
 
 class DimensionMismatchError(ValueError):
@@ -53,14 +53,6 @@ CATEGORICAL_FACTORS: dict[str, tuple[str, ...]] = {
     "severity": _SEVERITY_DOMAIN,
     "official_severity": _SEVERITY_DOMAIN,
 }
-
-
-def _score_values(records: Sequence[ScoredRecord], value: str) -> np.ndarray:
-    if value == "official":
-        return official_scores(records)
-    if value == "composite":
-        return np.array([sr.composite for sr in records], dtype=float)
-    raise UnknownFactorError(f"unknown score selector {value!r}")
 
 
 def category_index(
@@ -123,15 +115,10 @@ class FactorMatrix:
             raise ValueError("factor names must be unique")
 
     @classmethod
-    def from_scored(
-        cls, records: Sequence[ScoredRecord], include_official: bool = True
-    ) -> FactorMatrix:
+    def from_scored(cls, records: Sequence[ScoredRecord]) -> FactorMatrix:
         """Eight encoded factors per record, plus the official CVSS column."""
-        names = FACTOR_NAMES + (("CVSS",) if include_official else ())
         data = np.array([sr.factors for sr in records], dtype=float).reshape(-1, len(FACTOR_NAMES))
-        if include_official:
-            data = np.column_stack([data, official_scores(records)])
-        return cls(names, data)
+        return cls(FACTOR_NAMES + ("CVSS",), np.column_stack([data, official_scores(records)]))
 
 
 @dataclass(frozen=True)
@@ -159,7 +146,7 @@ def correlation_matrix(fm: FactorMatrix) -> CorrelationMatrix:
     two rows.
     """
     x = fm.rows
-    n, m = x.shape
+    n = len(x)
     if n < 2:
         raise TooFewRowsError(f"need at least 2 rows, got {n}")
     constant = np.array([bool(np.all(col == col[0])) for col in x.T])
@@ -170,8 +157,7 @@ def correlation_matrix(fm: FactorMatrix) -> CorrelationMatrix:
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = cov / np.outer(scale, scale)
     corr = np.clip(corr, -1.0, 1.0)
-    for k in range(m):
-        corr[k, k] = math.nan if constant[k] else 1.0
+    np.fill_diagonal(corr, 1.0)  # constant columns' entries go NaN below
     corr[constant, :] = math.nan
     corr[:, constant] = math.nan
     corr = np.triu(corr) + np.triu(corr, 1).T  # mirror for exact symmetry
@@ -189,8 +175,6 @@ def correlation_matrix(fm: FactorMatrix) -> CorrelationMatrix:
 class ConditionalMatrix:
     """P[row][col] = P(Y=col | X=row), with the raw counts retained."""
 
-    x_name: str
-    y_name: str
     row_domain: tuple[str, ...]
     col_domain: tuple[str, ...]
     probs: np.ndarray
@@ -218,7 +202,7 @@ def conditional_matrix(
     filled = row_totals > 0
     probs[filled] = counts[filled] / row_totals[filled, None]
     empty = tuple(label for label, total in zip(row_domain, row_totals) if total == 0)
-    return ConditionalMatrix(x, y, row_domain, col_domain, probs, counts, empty)
+    return ConditionalMatrix(row_domain, col_domain, probs, counts, empty)
 
 
 # --------------------------------------------------------------------------
@@ -324,23 +308,20 @@ class GroupStats:
 def group_statistics(
     records: Sequence[ScoredRecord],
     group_by: str,
-    value: str = "official",
     *,
-    sample_std: bool = True,
     thresholds: SeverityThresholds = SeverityThresholds(),
 ) -> list[GroupStats]:
-    """Count/mean/std/median/quartiles of ``value`` per category, in the
-    factor's domain order.
+    """Count/mean/std/median/quartiles of the official score per category,
+    in the factor's domain order.
 
-    ``std`` is the sample standard deviation unless ``sample_std`` is false;
-    quartiles use linear interpolation. Statistics undefined for a category
-    (empty, or a singleton under the sample std) come back as NaN.
+    ``std`` is the sample standard deviation; quartiles use linear
+    interpolation. Statistics undefined for a category (empty, or the std of
+    a singleton) come back as NaN.
     """
     if not records:
         raise EmptyInputError("no records to group")
     domain, index = category_index(records, group_by, thresholds=thresholds)
-    values = _score_values(records, value)
-    ddof = 1 if sample_std else 0
+    values = official_scores(records)
     out = []
     for k, label in enumerate(domain):
         vals = values[index == k]
@@ -348,7 +329,7 @@ def group_statistics(
             nan = math.nan
             out.append(GroupStats(label, 0, nan, nan, nan, nan, nan))
             continue
-        std = float(vals.std(ddof=ddof)) if vals.size > ddof else math.nan
+        std = float(vals.std(ddof=1)) if vals.size > 1 else math.nan
         out.append(
             GroupStats(
                 label,
@@ -393,10 +374,8 @@ def high_risk_share(
 
 @dataclass(frozen=True)
 class CrossTable:
-    """Mean of a score per (x, y) category pair, with the cell counts."""
+    """Mean official score per (x, y) category pair, with the cell counts."""
 
-    x_name: str
-    y_name: str
     row_domain: tuple[str, ...]
     col_domain: tuple[str, ...]
     means: np.ndarray
@@ -407,19 +386,19 @@ def cross_statistics(
     records: Sequence[ScoredRecord],
     x: str,
     y: str,
-    value: str = "official",
     *,
     thresholds: SeverityThresholds = SeverityThresholds(),
 ) -> CrossTable:
-    """Cell means of ``value`` over the x/y category grid; empty cells are NaN."""
+    """Cell means of the official score over the x/y category grid; empty
+    cells are NaN."""
     row_domain, rows = category_index(records, x, thresholds=thresholds)
     col_domain, cols = category_index(records, y, thresholds=thresholds)
     shape = (len(row_domain), len(col_domain))
-    sums = _cell_sums(rows, cols, shape, _score_values(records, value))
+    sums = _cell_sums(rows, cols, shape, official_scores(records))
     counts = _cell_sums(rows, cols, shape)
     with np.errstate(invalid="ignore"):
         means = np.where(counts > 0, sums / np.maximum(counts, 1), math.nan)
-    return CrossTable(x, y, row_domain, col_domain, means, counts)
+    return CrossTable(row_domain, col_domain, means, counts)
 
 
 # --------------------------------------------------------------------------
@@ -449,7 +428,10 @@ def kernel_density(scores: Iterable[float], grid: np.ndarray | None = None) -> D
     """Gaussian-kernel density estimate with the Silverman bandwidth rule.
 
     The default evaluation grid is 512 points spanning [0, 10] widened by
-    three bandwidths on each side.
+    three bandwidths on each side. Grid rows are summed in blocks of about
+    2**20 kernel terms, so the temporaries stay near 8 MiB each whatever the
+    number of scores; each row is still summed whole, as in one
+    ``(grid, n)`` expression.
     """
     arr = np.asarray(list(scores), dtype=float)
     if arr.size < 2:
@@ -459,8 +441,12 @@ def kernel_density(scores: Iterable[float], grid: np.ndarray | None = None) -> D
         grid = np.linspace(0.0 - 3.0 * h, 10.0 + 3.0 * h, 512)
     else:
         grid = np.asarray(grid, dtype=float)
-    z = (grid[:, None] - arr[None, :]) / h
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (arr.size * h * math.sqrt(2.0 * math.pi))
+    rows = max(1, 2**20 // arr.size)
+    sums = np.empty(grid.shape)
+    for start in range(0, grid.size, rows):
+        z = (grid[start : start + rows, None] - arr[None, :]) / h
+        sums[start : start + rows] = np.exp(-0.5 * z * z).sum(axis=1)
+    density = sums / (arr.size * h * math.sqrt(2.0 * math.pi))
     return DensityEstimate(grid, density, h)
 
 

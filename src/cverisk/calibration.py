@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import ETA, DEFAULT_MAPS, AttributeMaps
+from .encoding import DEFAULT_OMEGA, DEFAULT_PHI, DEFAULT_PSI, ETA
 from .model import GRID_TOLERANCE, ModelWeights, ScoredRecord, official_scores
 
 DEFAULT_KAPPA_RANGE = (0.5, 2.0, 0.05)
@@ -95,8 +95,9 @@ class _Groups:
     member: np.ndarray  # (n,): each record's group
 
 
-def _group_sample(cal: Sequence[ScoredRecord], maps: AttributeMaps = DEFAULT_MAPS) -> _Groups:
-    """Group by the only levels the composite reads; at most 648 groups.
+def _group_sample(cal: Sequence[ScoredRecord]) -> _Groups:
+    """Group by the only levels the composite reads; at most 648 groups,
+    encoded with the default attribute maps that ``calibrate`` writes out.
 
     Official scores must sit on the 0.1 grid, as NVD base scores do, so
     that squared errors are whole numbers of 0.01.
@@ -119,7 +120,7 @@ def _group_sample(cal: Sequence[ScoredRecord], maps: AttributeMaps = DEFAULT_MAP
     )
     return _Groups(
         exploit=np.array(
-            [[maps.phi[av], maps.psi[ac], maps.omega[pr]] for av, ac, pr, *_ in index]
+            [[DEFAULT_PHI[av], DEFAULT_PSI[ac], DEFAULT_OMEGA[pr]] for av, ac, pr, *_ in index]
         ),
         eta=np.array([[ETA[c], ETA[i], ETA[a]] for *_, c, i, a in index]),
         count=np.bincount(member, minlength=len(index)).astype(float),
@@ -181,7 +182,6 @@ def calibrate_weights(
     cal: Sequence[ScoredRecord],
     grid_step: float = 0.05,
     *,
-    maps: AttributeMaps = DEFAULT_MAPS,
     lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
     kappa_range: tuple[float, float, float] = DEFAULT_KAPPA_RANGE,
     delta: float = 0.1,
@@ -200,8 +200,8 @@ def calibrate_weights(
     Raises ``OffGridError`` for an official score off the 0.1 grid or a
     ``delta`` the integer units cannot represent.
     """
-    groups = _group_sample(cal, maps)
-    if grid_step <= 0.0 or abs(round(1.0 / grid_step) * grid_step - 1.0) > 1e-9:
+    groups = _group_sample(cal)
+    if not 0.0 < grid_step <= 1.0 or abs(round(1.0 / grid_step) * grid_step - 1.0) > 1e-9:
         raise BadGridStepError(f"grid step {grid_step} does not divide 1 evenly")
     n_div = round(1.0 / grid_step)
     per_point, per_delta = _units(delta)

@@ -17,17 +17,15 @@ from .calibration import (
     BadGridStepError,
     EmptyCalibrationSetError,
     OffGridError,
-    calibrate_kappa,
     calibrate_weights,
     uniform_weights,
 )
-from .config import ConfigError, config_to_dict, load_config, save_config, write_text_atomic
+from .config import ConfigError, load_config, save_config, write_text_atomic
 from .model import ModelConfig, score_records
 from .nvd import IngestWindow, NvdError, WindowTooLargeError, fetch_window
 from .report import (
     SCORE_HEADER,
     EmptyDatasetError,
-    ReportBundle,
     UnscoreableAllError,
     build_bundle,
     render_executive_summary,
@@ -36,12 +34,9 @@ from .report import (
     write_csv,
 )
 
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NETWORK = 4
 EXIT_IO = 5
-
-log = logging.getLogger(__name__)
 
 
 class InsufficientRecordsError(ValueError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 
 import numpy as np
@@ -47,6 +47,9 @@ class ModelWeights:
     delta: float = 0.1
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if min(self.alpha, self.beta, self.gamma) < 0.0:
             raise ValueError("alpha, beta, gamma must be non-negative")
         if abs(self.alpha + self.beta + self.gamma - 1.0) > SIMPLEX_TOLERANCE:

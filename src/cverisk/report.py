@@ -7,13 +7,15 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analytics import (
+    CATEGORICAL_FACTORS,
+    ConditionalMatrix,
     FactorMatrix,
     JointRiskConfig,
     TooFewRowsError,
@@ -31,7 +33,7 @@ from .analytics import (
 )
 from .calibration import DEFAULT_KAPPA_RANGE, fit_kappa, uniform_weights
 from .config import config_to_dict
-from .model import ModelConfig, _score_vector, composite_score, score_records
+from .model import ModelConfig, _score_vector, composite_score, official_scores, score_records
 from .records import CveRecord
 
 SCORE_BINS = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
@@ -97,28 +99,32 @@ def _matrix_table(row_header: str, row_domain, col_domain, values) -> Table:
     return header, rows
 
 
+def _field_rows(items) -> list[tuple]:
+    """One CSV row per dataclass instance: its fields in order."""
+    return [tuple(_cell(v) for v in astuple(item)) for item in items]
+
+
 def _stats_table(label: str, stats) -> Table:
-    header = (label, "count", "mean", "std", "median", "q1", "q3")
-    rows = [
-        (g.category, g.count, _cell(g.mean), _cell(g.std), _cell(g.median), _cell(g.q1), _cell(g.q3))
-        for g in stats
-    ]
-    return header, rows
+    return (label, "count", "mean", "std", "median", "q1", "q3"), _field_rows(stats)
 
 
-def _stats_summary(stats) -> list[dict]:
-    return [
-        {
-            "category": g.category,
-            "count": g.count,
-            "mean": g.mean,
-            "std": g.std,
-            "median": g.median,
-            "q1": g.q1,
-            "q3": g.q3,
-        }
-        for g in stats
-    ]
+def _share_rows(labels, counts, n: int) -> list[tuple]:
+    """One ``(label, count, share of n)`` row per category."""
+    return [(label, int(c), int(c) / n) for label, c in zip(labels, counts)]
+
+
+def _share_summary(rows) -> dict:
+    """``_share_rows`` as ``{label: {"count", "share"}}``."""
+    return {label: {"count": c, "share": share} for label, c, share in rows}
+
+
+def _column_share(cm: ConditionalMatrix, col: str) -> dict:
+    """P(``col`` | row) per row category; NaN for a row with no records."""
+    k = cm.col_domain.index(col)
+    return {
+        label: math.nan if label in cm.empty_rows else float(p)
+        for label, p in zip(cm.row_domain, cm.probs[:, k])
+    }
 
 
 def _safe_spearman(pred, truth):
@@ -214,20 +220,16 @@ def build_bundle(
 
     t = config.thresholds
     n = len(scored)
-    officials = np.array([sr.record.official_score for sr in scored])
+    officials = official_scores(scored)
     ids = [sr.record.cve_id for sr in scored]
     tables: dict[str, Table] = {}
     summary: dict = {}
 
     # ---- score distribution -------------------------------------------------
-    bin_counts, _ = np.histogram(officials, bins=SCORE_BINS)
-    tables["severity_histogram"] = (
-        ("score_bin", "count", "share"),
-        [(label, int(c), int(c) / n) for label, c in zip(BIN_LABELS, bin_counts)],
-    )
+    hist = _share_rows(BIN_LABELS, np.histogram(officials, bins=SCORE_BINS)[0], n)
+    tables["severity_histogram"] = (("score_bin", "count", "share"), hist)
     summary["severity_histogram"] = [
-        {"bin": label, "count": int(c), "share": int(c) / n}
-        for label, c in zip(BIN_LABELS, bin_counts)
+        {"bin": label, "count": c, "share": share} for label, c, share in hist
     ]
     summary["official_score"] = {
         "mean": float(officials.mean()),
@@ -237,37 +239,30 @@ def build_bundle(
         "max": float(officials.max()),
     }
 
-    def category_counts(name: str) -> dict[str, int]:
+    def category_rows(name: str) -> list[tuple]:
         domain, index = category_index(scored, name, thresholds=t)
-        return dict(zip(domain, np.bincount(index, minlength=len(domain)).tolist()))
+        return _share_rows(domain, np.bincount(index, minlength=len(domain)), n)
 
-    sev_counts = category_counts("official_severity")
-    tables["severity_mix"] = (
-        ("severity", "count", "share"),
-        [(label, c, c / n) for label, c in sev_counts.items()],
-    )
-    summary["severity_mix"] = {
-        label: {"count": c, "share": c / n} for label, c in sev_counts.items()
-    }
+    sev_rows = category_rows("official_severity")
+    tables["severity_mix"] = (("severity", "count", "share"), sev_rows)
+    summary["severity_mix"] = _share_summary(sev_rows)
 
     # ---- attack vector ------------------------------------------------------
-    av_counts = category_counts("AV")
-    tables["attack_vector_counts"] = (
-        ("attack_vector", "count", "share"),
-        [(label, c, c / n) for label, c in av_counts.items()],
-    )
-    av_stats = group_statistics(scored, "AV", "official", thresholds=t)
+    av_rows = category_rows("AV")
+    tables["attack_vector_counts"] = (("attack_vector", "count", "share"), av_rows)
+    av_stats = group_statistics(scored, "AV", thresholds=t)
     tables["attack_vector_score_stats"] = _stats_table("attack_vector", av_stats)
     av_high = high_risk_share(scored, "AV", HIGH_RISK_THRESHOLD, thresholds=t)
     tables["attack_vector_high_risk"] = (
         ("attack_vector", "count", "high_risk_count", "share"),
-        [(h.category, h.count, h.high_risk, _cell(h.share)) for h in av_high],
+        _field_rows(av_high),
     )
+    av_shares = {label: share for label, _, share in av_rows}
     summary["attack_vector"] = {
-        "counts": av_counts,
-        "shares": {label: c / n for label, c in av_counts.items()},
-        "network_share": av_counts["Network"] / n,
-        "score_stats": _stats_summary(av_stats),
+        "counts": {label: c for label, c, _ in av_rows},
+        "shares": av_shares,
+        "network_share": av_shares["Network"],
+        "score_stats": [asdict(g) for g in av_stats],
         "high_risk_share": {
             h.category: {"count": h.count, "high_risk": h.high_risk, "share": h.share}
             for h in av_high
@@ -275,9 +270,9 @@ def build_bundle(
     }
 
     # ---- privileges and complexity ------------------------------------------
-    pr_stats = group_statistics(scored, "PR", "official", thresholds=t)
+    pr_stats = group_statistics(scored, "PR", thresholds=t)
     tables["privilege_score_stats"] = _stats_table("privileges_required", pr_stats)
-    summary["privileges"] = {"score_stats": _stats_summary(pr_stats)}
+    summary["privileges"] = {"score_stats": [asdict(g) for g in pr_stats]}
 
     def add_conditional(prefix: str, x: str, y: str, row_header: str):
         cm = conditional_matrix(scored, x, y, thresholds=t)
@@ -296,20 +291,14 @@ def build_bundle(
         }
     }
 
-    acpr = cross_statistics(scored, "AC", "PR", "official", thresholds=t)
-    tables["complexity_privilege_mean_score"] = _matrix_table(
-        "attack_complexity", acpr.row_domain, acpr.col_domain, acpr.means
-    )
-    tables["complexity_privilege_counts"] = _matrix_table(
-        "attack_complexity", acpr.row_domain, acpr.col_domain, acpr.counts
-    )
-    ia = cross_statistics(scored, "I", "A", "official", thresholds=t)
-    tables["integrity_availability_mean_score"] = _matrix_table(
-        "integrity", ia.row_domain, ia.col_domain, ia.means
-    )
-    tables["integrity_availability_counts"] = _matrix_table(
-        "integrity", ia.row_domain, ia.col_domain, ia.counts
-    )
+    def add_cross(prefix: str, x: str, y: str, row_header: str):
+        ct = cross_statistics(scored, x, y, thresholds=t)
+        tables[f"{prefix}_mean_score"] = _matrix_table(row_header, ct.row_domain, ct.col_domain, ct.means)
+        tables[f"{prefix}_counts"] = _matrix_table(row_header, ct.row_domain, ct.col_domain, ct.counts)
+        return ct
+
+    acpr = add_cross("complexity_privilege", "AC", "PR", "attack_complexity")
+    ia = add_cross("integrity_availability", "I", "A", "integrity")
 
     high_subset = [sr for sr in scored if sr.record.official_score >= HIGH_RISK_THRESHOLD]
     hm = conditional_matrix(high_subset, "AC", "PR", thresholds=t)
@@ -317,8 +306,6 @@ def build_bundle(
         "attack_complexity", hm.row_domain, hm.col_domain, hm.counts
     )
 
-    ui_idx = {label: k for k, label in enumerate(ui_c.row_domain)}
-    c_high = ui_c.col_domain.index("High")
     summary["cross"] = {
         "low_complexity_no_privilege_mean": float(
             acpr.means[acpr.row_domain.index("Low"), acpr.col_domain.index("None")]
@@ -326,35 +313,17 @@ def build_bundle(
         "dual_high_impact_mean": float(
             ia.means[ia.row_domain.index("High"), ia.col_domain.index("High")]
         ),
-        "ui_high_confidentiality_share": {
-            label: (
-                float(ui_c.probs[ui_idx[label], c_high])
-                if label not in ui_c.empty_rows
-                else math.nan
-            )
-            for label in ui_c.row_domain
-        },
-        "av_severe_cia_share": {
-            label: (
-                float(av_cia.probs[k, av_cia.col_domain.index("High")])
-                if label not in av_cia.empty_rows
-                else math.nan
-            )
-            for k, label in enumerate(av_cia.row_domain)
-        },
+        "ui_high_confidentiality_share": _column_share(ui_c, "High"),
+        "av_severe_cia_share": _column_share(av_cia, "High"),
     }
 
     # ---- CIA impact levels --------------------------------------------------
-    cia_rows = []
-    cia_summary = {}
-    for comp_label in "CIA":
-        level_counts = category_counts(comp_label)
-        cia_summary[comp_label] = {
-            label: {"count": c, "share": c / n} for label, c in level_counts.items()
-        }
-        cia_rows.extend((comp_label, label, c, c / n) for label, c in level_counts.items())
-    tables["cia_impact_levels"] = (("component", "level", "count", "share"), cia_rows)
-    summary["cia_impact_levels"] = cia_summary
+    cia_rows = {comp: category_rows(comp) for comp in "CIA"}
+    tables["cia_impact_levels"] = (
+        ("component", "level", "count", "share"),
+        [(comp, *row) for comp, rows in cia_rows.items() for row in rows],
+    )
+    summary["cia_impact_levels"] = {comp: _share_summary(rows) for comp, rows in cia_rows.items()}
 
     fm = FactorMatrix.from_scored(scored)
     eta_rows = fm.rows[:, [fm.factor_names.index(comp) for comp in "CIA"]]
@@ -362,12 +331,8 @@ def build_bundle(
     bin_rows = []
     for b, label in enumerate(BIN_LABELS):
         mask = bin_index == b
-        count = int(mask.sum())
-        if count:
-            means = eta_rows[mask].mean(axis=0)
-            bin_rows.append((label, count, float(means[0]), float(means[1]), float(means[2])))
-        else:
-            bin_rows.append((label, 0, "", "", ""))
+        means = eta_rows[mask].mean(axis=0).tolist() if mask.any() else ["", "", ""]
+        bin_rows.append((label, int(mask.sum()), *means))
     tables["cia_by_score_bin"] = (
         ("score_bin", "count", "mean_confidentiality", "mean_integrity", "mean_availability"),
         bin_rows,
@@ -407,10 +372,7 @@ def build_bundle(
     # ---- ECDF and per-vector densities --------------------------------------
     cdf = ecdf(officials)
     values, cumulative = cdf.curve()
-    tables["ecdf"] = (
-        ("score", "cumulative_share"),
-        list(zip((float(v) for v in values), (float(c) for c in cumulative))),
-    )
+    tables["ecdf"] = (("score", "cumulative_share"), list(zip(values.tolist(), cumulative.tolist())))
     summary["ecdf"] = {
         "n": n,
         "at_tau1": float(cdf(t.tau1)),
@@ -430,7 +392,7 @@ def build_bundle(
         bandwidths[label] = est.bandwidth
         tables[f"kde_{label.lower()}"] = (
             ("score", "density"),
-            list(zip((float(g) for g in est.grid), (float(d) for d in est.density))),
+            list(zip(est.grid.tolist(), est.density.tolist())),
         )
     summary["kde"] = {"bandwidths": bandwidths, "skipped": kde_skipped}
 
@@ -501,8 +463,6 @@ def build_bundle(
 # rendering and file output
 # --------------------------------------------------------------------------
 
-_SEVERITY_ORDER = ("Low", "Medium", "High", "Critical")
-
 
 def render_executive_summary(summary: dict) -> str:
     """Plain-text digest of one analysis run, findings ordered by share.
@@ -539,7 +499,9 @@ def render_executive_summary(summary: dict) -> str:
         )
     lines.append("")
     mix_text = " | ".join(
-        f"{label} {mix[label]['share']:.1%}" for label in _SEVERITY_ORDER if label in mix
+        f"{label} {mix[label]['share']:.1%}"
+        for label in CATEGORICAL_FACTORS["official_severity"]
+        if label in mix
     )
     lines.append(f"Severity mix (official): {mix_text}")
     e = summary["ecdf"]

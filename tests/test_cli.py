@@ -251,6 +251,28 @@ def test_calibrate_write_failure_leaves_no_partial_file(runner, cache_copy, tmp_
         assert {p.name: p.read_bytes() for p in out.iterdir()} == files
 
 
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_calibrate_non_finite_grid_step(runner, cache_copy, tmp_path, step):
+    result = runner.invoke(
+        main,
+        ["calibrate", "--cache", str(cache_copy), "--out", str(tmp_path),
+         "--n-cal", "50", "--grid-step", step],
+    )
+    assert result.exit_code == 3, result.output
+    assert "does not divide 1 evenly" in result.output
+
+
+def test_score_non_finite_config_value(runner, cache_copy, tmp_path):
+    cfg = tmp_path / "weights.txt"
+    cfg.write_text("kappa = inf\n", encoding="utf-8")
+    result = runner.invoke(
+        main,
+        ["score", "--cache", str(cache_copy), "--config", str(cfg), "--out", str(tmp_path / "o")],
+    )
+    assert result.exit_code == 3, result.output
+    assert "kappa must be finite" in result.output
+
+
 def test_analyze_bad_config_file(runner, cache_copy, tmp_path):
     bad = tmp_path / "weights.txt"
     bad.write_text("alpha = banana\n", encoding="utf-8")

@@ -83,6 +83,14 @@ def test_weight_sum_violation_becomes_config_error(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("line", ["alpha = nan", "kappa = inf", "delta = nan"])
+def test_non_finite_weight_becomes_config_error(tmp_path, line):
+    path = tmp_path / "c.txt"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="must be finite"):
+        load_config(path)
+
+
 def test_threshold_ordering_violation(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("tau1 = 8.0\ntau2 = 7.0\ntau3 = 9.0\n", encoding="utf-8")

@@ -68,6 +68,16 @@ def test_lambda_range_and_scale_checks():
         ModelWeights(1 / 3, 1 / 3, 1 / 3, delta=-0.1)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name", ["alpha", "beta", "gamma", "lambda_c", "lambda_i", "lambda_a", "kappa", "delta"]
+)
+def test_weights_must_be_finite(name, value):
+    fields = {"alpha": 1 / 3, "beta": 1 / 3, "gamma": 1 / 3, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ModelWeights(**fields)
+
+
 def test_threshold_ordering_enforced():
     SeverityThresholds(1.0, 2.0, 3.0)
     with pytest.raises(ValueError):

@@ -207,6 +207,13 @@ def test_nan_statistics_become_null(sample_records):
     stats = {s["category"]: s for s in b.summary["attack_vector"]["score_stats"]}
     assert stats["Physical"]["std"] is None
     assert stats["Adjacent"]["mean"] is None  # empty group
+    _, rows = b.tables["attack_vector_score_stats"]
+    assert ("Adjacent", 0, "", "", "", "", "") in rows
+    counts = b.summary["attack_vector"]["counts"]
+    severe = b.summary["cross"]["av_severe_cia_share"]
+    assert {label for label, c in counts.items() if c == 0} == {"Adjacent", "Local"}
+    assert all(severe[label] is None for label, c in counts.items() if c == 0)
+    assert all(severe[label] is not None for label, c in counts.items() if c > 0)
 
 
 def test_summary_validates_against_shipped_schema(bundle):
