@@ -1,5 +1,8 @@
 """Correlation, conditional, distribution, and benchmark statistics over
-scored vulnerability records."""
+scored vulnerability records, read as columns of a ``ScoredBatch``.
+
+Official-severity categories use the thresholds the batch was scored with.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .encoding import FACTOR_NAMES
-from .model import ScoredRecord, Severity, SeverityThresholds, official_scores
+from .model import ScoredBatch, Severity
 from .vector import METRIC_NAMES, metric_labels, metric_level
 
 
@@ -55,29 +58,24 @@ CATEGORICAL_FACTORS: dict[str, tuple[str, ...]] = {
 }
 
 
-def category_index(
-    records: Sequence[ScoredRecord],
-    name: str,
-    *,
-    thresholds: SeverityThresholds = SeverityThresholds(),
-) -> tuple[tuple[str, ...], np.ndarray]:
+def category_index(scored: ScoredBatch, name: str) -> tuple[tuple[str, ...], np.ndarray]:
     """The category labels of factor ``name`` and each record's index into them.
 
     Vector metrics come from the vector codes; ``combined_cia`` is the worst
     of the C/I/A levels; ``official_severity`` classifies the official score
-    under ``thresholds``, ``severity`` is the model's classification.
+    under the batch's thresholds, ``severity`` is the model's classification.
     """
     try:
         domain = CATEGORICAL_FACTORS[name]
     except KeyError:
         raise UnknownFactorError(f"unknown categorical factor {name!r}") from None
     if name == "severity":
-        index = np.array([sr.severity for sr in records], dtype=int) - 1
+        index = scored.severity - 1
     elif name == "official_severity":
-        cuts = (thresholds.tau1, thresholds.tau2, thresholds.tau3)
-        index = np.searchsorted(cuts, official_scores(records), side="right")
+        t = scored.thresholds
+        index = np.searchsorted((t.tau1, t.tau2, t.tau3), scored.officials, side="right")
     else:
-        codes = np.array([sr.vector.code for sr in records], dtype=int)
+        codes = scored.codes
         if name == "combined_cia":
             index = np.maximum.reduce([metric_level(codes, m) for m in "CIA"])
         else:
@@ -115,10 +113,9 @@ class FactorMatrix:
             raise ValueError("factor names must be unique")
 
     @classmethod
-    def from_scored(cls, records: Sequence[ScoredRecord]) -> FactorMatrix:
+    def from_scored(cls, scored: ScoredBatch) -> FactorMatrix:
         """Eight encoded factors per record, plus the official CVSS column."""
-        data = np.array([sr.factors for sr in records], dtype=float).reshape(-1, len(FACTOR_NAMES))
-        return cls(FACTOR_NAMES + ("CVSS",), np.column_stack([data, official_scores(records)]))
+        return cls(FACTOR_NAMES + ("CVSS",), np.column_stack([scored.factors, scored.officials]))
 
 
 @dataclass(frozen=True)
@@ -182,20 +179,14 @@ class ConditionalMatrix:
     empty_rows: tuple[str, ...] = ()
 
 
-def conditional_matrix(
-    records: Sequence[ScoredRecord],
-    x: str,
-    y: str,
-    *,
-    thresholds: SeverityThresholds = SeverityThresholds(),
-) -> ConditionalMatrix:
+def conditional_matrix(scored: ScoredBatch, x: str, y: str) -> ConditionalMatrix:
     """Conditional distribution of factor ``y`` given factor ``x``.
 
     Rows over categories of ``x`` that never occur are all-zero and flagged
     in ``empty_rows`` rather than renormalized.
     """
-    row_domain, rows = category_index(records, x, thresholds=thresholds)
-    col_domain, cols = category_index(records, y, thresholds=thresholds)
+    row_domain, rows = category_index(scored, x)
+    col_domain, cols = category_index(scored, y)
     counts = _cell_sums(rows, cols, (len(row_domain), len(col_domain)))
     row_totals = counts.sum(axis=1)
     probs = np.zeros(counts.shape, dtype=float)
@@ -305,12 +296,7 @@ class GroupStats:
     q3: float
 
 
-def group_statistics(
-    records: Sequence[ScoredRecord],
-    group_by: str,
-    *,
-    thresholds: SeverityThresholds = SeverityThresholds(),
-) -> list[GroupStats]:
+def group_statistics(scored: ScoredBatch, group_by: str) -> list[GroupStats]:
     """Count/mean/std/median/quartiles of the official score per category,
     in the factor's domain order.
 
@@ -318,10 +304,10 @@ def group_statistics(
     interpolation. Statistics undefined for a category (empty, or the std of
     a singleton) come back as NaN.
     """
-    if not records:
+    if not scored:
         raise EmptyInputError("no records to group")
-    domain, index = category_index(records, group_by, thresholds=thresholds)
-    values = official_scores(records)
+    domain, index = category_index(scored, group_by)
+    values = scored.officials
     out = []
     for k, label in enumerate(domain):
         vals = values[index == k]
@@ -353,17 +339,13 @@ class HighRiskShare:
 
 
 def high_risk_share(
-    records: Sequence[ScoredRecord],
-    group_by: str,
-    threshold: float = 7.0,
-    *,
-    thresholds: SeverityThresholds = SeverityThresholds(),
+    scored: ScoredBatch, group_by: str, threshold: float = 7.0
 ) -> list[HighRiskShare]:
     """Per-category share of records whose official score is >= threshold."""
-    if not records:
+    if not scored:
         raise EmptyInputError("no records to group")
-    domain, index = category_index(records, group_by, thresholds=thresholds)
-    is_high = official_scores(records) >= threshold
+    domain, index = category_index(scored, group_by)
+    is_high = scored.officials >= threshold
     totals = np.bincount(index, minlength=len(domain)).tolist()
     high = np.bincount(index[is_high], minlength=len(domain)).tolist()
     return [
@@ -382,19 +364,13 @@ class CrossTable:
     counts: np.ndarray
 
 
-def cross_statistics(
-    records: Sequence[ScoredRecord],
-    x: str,
-    y: str,
-    *,
-    thresholds: SeverityThresholds = SeverityThresholds(),
-) -> CrossTable:
+def cross_statistics(scored: ScoredBatch, x: str, y: str) -> CrossTable:
     """Cell means of the official score over the x/y category grid; empty
     cells are NaN."""
-    row_domain, rows = category_index(records, x, thresholds=thresholds)
-    col_domain, cols = category_index(records, y, thresholds=thresholds)
+    row_domain, rows = category_index(scored, x)
+    col_domain, cols = category_index(scored, y)
     shape = (len(row_domain), len(col_domain))
-    sums = _cell_sums(rows, cols, shape, official_scores(records))
+    sums = _cell_sums(rows, cols, shape, scored.officials)
     counts = _cell_sums(rows, cols, shape)
     with np.errstate(invalid="ignore"):
         means = np.where(counts > 0, sums / np.maximum(counts, 1), math.nan)

@@ -44,7 +44,7 @@ def uniform_weights(kappa: float = 1.0, delta: float = 0.1) -> ModelWeights:
 def _official_scores(cal: Sequence[ScoredRecord]) -> np.ndarray:
     if not cal:
         raise EmptyCalibrationSetError("calibration set is empty")
-    return official_scores(cal)
+    return official_scores([sr.record for sr in cal])
 
 
 def _kappa_grid(lo: float, hi: float, step: float) -> np.ndarray:

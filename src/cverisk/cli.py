@@ -21,13 +21,15 @@ from .calibration import (
     uniform_weights,
 )
 from .config import ConfigError, load_config, save_config, write_text_atomic
-from .model import ModelConfig, score_records
+from .model import ModelConfig, ScoredBatch, score_records
 from .nvd import IngestWindow, NvdError, WindowTooLargeError, fetch_window
 from .report import (
     SCORE_HEADER,
+    BundleError,
     EmptyDatasetError,
     UnscoreableAllError,
     build_bundle,
+    check_bundle,
     render_executive_summary,
     score_rows,
     write_bundle,
@@ -147,17 +149,15 @@ def ingest(window: str, out_cache: str, api_key_env: str, page_size: int):
     click.echo(f"wrote {len(records)} records to {out_cache}")
 
 
-def _calibration_sample(records, n_cal: int, seed: int, lenient: bool):
+def _calibration_sample(records, n_cal: int, seed: int, lenient: bool) -> ScoredBatch:
     scoreable, _ = score_records(records, lenient=lenient)
-    pool = sorted(
-        (sr for sr in scoreable if sr.record.official_score is not None),
-        key=lambda sr: sr.record.cve_id,
-    )
+    ids = {k: r.cve_id for k, r in enumerate(scoreable.records) if r.official_score is not None}
+    pool = sorted(ids, key=ids.get)  # positions of the usable records, in id order
     if len(pool) < n_cal:
         raise InsufficientRecordsError(
             f"need {n_cal} records with a vector and an official score, have {len(pool)}"
         )
-    return random.Random(seed).sample(pool, n_cal)
+    return scoreable[random.Random(seed).sample(pool, n_cal)]
 
 
 @main.command()
@@ -184,8 +184,7 @@ def calibrate(cache_path: str, out_dir: str, n_cal: int, seed: int, grid_step: f
     try:
         out.mkdir(parents=True, exist_ok=True)
         save_config(config, out / "model_config.txt")
-        ids = "".join(f"{sr.record.cve_id}\n" for sr in sorted(
-            sample, key=lambda sr: sr.record.cve_id))
+        ids = "".join(f"{cve_id}\n" for cve_id in sorted(r.cve_id for r in sample.records))
         write_text_atomic(out / "calibration_ids.txt", ids)
     except OSError as exc:
         _fail(EXIT_IO, f"cannot write to {out_dir}: {exc}")
@@ -288,10 +287,12 @@ def report(bundle_dir: str):
     except ValueError as exc:
         _fail(EXIT_DATA, f"summary.json is not valid JSON: {exc}")
     try:
-        missing = [name for name in summary.get("tables", []) if not (out / f"{name}.csv").exists()]
-        if missing:
-            _fail(EXIT_DATA, f"bundle is missing tables: {', '.join(missing)}")
+        check_bundle(out, summary)
         text = render_executive_summary(summary)
+    except BundleError as exc:
+        _fail(EXIT_DATA, str(exc))
+    except OSError as exc:
+        _fail(EXIT_IO, f"cannot read {bundle_dir}: {exc}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         _fail(EXIT_DATA, f"summary.json is malformed: {exc!r}")
     try:

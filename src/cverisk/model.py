@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
-from .encoding import ETA, AttributeMaps, encode_factors
+from .encoding import ETA, FACTOR_NAMES, AttributeMaps, encode_factors
 from .records import CveRecord
 from .vector import CvssVector, VectorError, parse_vector
 
@@ -105,12 +106,68 @@ class ScoredRecord:
     severity: Severity
 
 
-def official_scores(scored: Sequence[ScoredRecord]) -> np.ndarray:
+def official_scores(records: Sequence[CveRecord]) -> np.ndarray:
     """The records' official scores; a record without one is an error."""
-    scores = [sr.record.official_score for sr in scored]
+    scores = [r.official_score for r in records]
     if None in scores:
-        raise ValueError(f"{scored[scores.index(None)].record.cve_id} has no official score")
+        raise ValueError(f"{records[scores.index(None)].cve_id} has no official score")
     return np.array(scores, dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
+class ScoredBatch(Sequence):
+    """Scored records: one ``_score_vector`` tuple per distinct vector code
+    in ``table``, each record's row of it in ``rows``, and columns gathered
+    from the table on first use. ``batch[k]`` is a ``ScoredRecord``; a
+    slice, boolean mask or index array (or list) gives a sub-batch over the
+    same table and thresholds."""
+
+    records: Sequence[CveRecord]
+    table: Sequence[tuple]
+    rows: np.ndarray
+    thresholds: SeverityThresholds
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return ScoredRecord(self.records[key], *self.table[self.rows[key]])
+        index = np.arange(len(self))[key].tolist()
+        return replace(self, records=[self.records[k] for k in index], rows=self.rows[index])
+
+    def _column(self, k: int, dtype=float) -> np.ndarray:
+        return np.array([entry[k] for entry in self.table], dtype=dtype)[self.rows]
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        return np.array([v.code for v, *_ in self.table], dtype=np.intp)[self.rows]
+
+    @cached_property
+    def factors(self) -> np.ndarray:
+        """(n, 8) encoded factors, columns ordered like ``FACTOR_NAMES``."""
+        return self._column(1).reshape(-1, len(FACTOR_NAMES))
+
+    @cached_property
+    def base_risk(self) -> np.ndarray:
+        return self._column(2)
+
+    @cached_property
+    def impact(self) -> np.ndarray:
+        return self._column(3)
+
+    @cached_property
+    def composite(self) -> np.ndarray:
+        return self._column(4)
+
+    @cached_property
+    def severity(self) -> np.ndarray:
+        """``Severity`` values, 1 (Low) to 4 (Critical)."""
+        return self._column(5, np.intp)
+
+    @cached_property
+    def officials(self) -> np.ndarray:
+        return official_scores(self.records)
 
 
 def round_up(x: float, delta: float) -> float:
@@ -182,33 +239,36 @@ def score_record(
 
 def score_records(
     records: Iterable[CveRecord], config: ModelConfig | None = None, *, lenient: bool = False
-) -> tuple[list[ScoredRecord], list[tuple[CveRecord, str]]]:
+) -> tuple[ScoredBatch, list[tuple[CveRecord, str]]]:
     """Score a batch; unscoreable records come back as (record, reason) pairs.
 
     Gives the same results as ``score_record`` per record, but parses each
-    distinct vector string and scores each distinct vector code once; records
-    with the same code share one vector, factor tuple and set of scores.
+    distinct vector string and scores each distinct vector code once, into
+    one row of the batch's table.
     """
     config = config or ModelConfig()
-    by_string: dict[str, tuple | str] = {}  # scored fields, or why parsing failed
-    by_code: dict[int, tuple] = {}
-    scored: list[ScoredRecord] = []
+    by_string: dict[str, int | str] = {}  # table row, or why parsing failed
+    by_code: dict[int, int] = {}
+    table: list[tuple] = []
+    kept: list[CveRecord] = []
+    rows: list[int] = []
     skipped: list[tuple[CveRecord, str]] = []
     for record in records:
         text = record.vector_string
-        fields = by_string.get(text) if text else _NO_VECTOR
-        if fields is None:
+        row = by_string.get(text) if text else _NO_VECTOR
+        if row is None:
             try:
                 vector = parse_vector(text, lenient=lenient)
             except VectorError as exc:
-                fields = str(exc)
+                row = str(exc)
             else:
-                if vector.code not in by_code:
-                    by_code[vector.code] = _score_vector(vector, config)
-                fields = by_code[vector.code]
-            by_string[text] = fields
-        if isinstance(fields, str):
-            skipped.append((record, fields))
+                row = by_code.setdefault(vector.code, len(table))
+                if row == len(table):
+                    table.append(_score_vector(vector, config))
+            by_string[text] = row
+        if isinstance(row, str):
+            skipped.append((record, row))
         else:
-            scored.append(ScoredRecord(record, *fields))
-    return scored, skipped
+            kept.append(record)
+            rows.append(row)
+    return ScoredBatch(kept, table, np.array(rows, dtype=np.intp), config.thresholds), skipped

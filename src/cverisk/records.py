@@ -28,6 +28,10 @@ class CveRecord:
     def __post_init__(self) -> None:
         if not CVE_ID_PATTERN.match(self.cve_id):
             raise ValueError(f"malformed CVE id: {self.cve_id!r}")
+        if self.vector_string is not None and not isinstance(self.vector_string, str):
+            raise ValueError(f"{self.cve_id}: vector string {self.vector_string!r} is not a string")
+        if isinstance(self.official_score, bool):
+            raise ValueError(f"{self.cve_id}: official score {self.official_score} is not a number")
         if self.official_score is not None and not 0.0 <= self.official_score <= 10.0:
             raise ValueError(
                 f"{self.cve_id}: official score {self.official_score} outside [0, 10]"
@@ -55,7 +59,8 @@ class CveRecord:
             cve_id=data["cve_id"],
             description=data["description"],
             published=published,
-            official_score=None if score is None else float(score),
+            # a bool passes through, for __post_init__ to reject
+            official_score=score if score is None or isinstance(score, bool) else float(score),
             vector_string=data.get("vector_string"),
             affected_os=data.get("affected_os"),
         )

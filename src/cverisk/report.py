@@ -4,6 +4,7 @@ report, executive text) and deterministic file emission."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from collections import Counter
@@ -33,7 +34,7 @@ from .analytics import (
 )
 from .calibration import DEFAULT_KAPPA_RANGE, fit_kappa, uniform_weights
 from .config import config_to_dict
-from .model import ModelConfig, _score_vector, composite_score, official_scores, score_records
+from .model import ModelConfig, ScoredBatch, _score_vector, composite_score, score_records
 from .records import CveRecord
 
 SCORE_BINS = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
@@ -51,6 +52,10 @@ class EmptyDatasetError(ValueError):
 
 class UnscoreableAllError(ValueError):
     """No record has both a parseable vector and an official score."""
+
+
+class BundleError(ValueError):
+    """A written bundle is incomplete or disagrees with its summary."""
 
 
 @dataclass
@@ -134,54 +139,35 @@ def _safe_spearman(pred, truth):
         return math.nan
 
 
-def score_rows(scored) -> list[tuple]:
+def score_rows(scored: ScoredBatch) -> list[tuple]:
     """One ``SCORE_HEADER`` row per scored record; a missing official score
-    is a blank cell."""
+    is a blank cell. Records with one vector code share its score cells."""
+    cells = [(rb, impact, sv, severity.label) for _, _, rb, impact, sv, severity in scored.table]
     return [
-        (
-            sr.record.cve_id,
-            "" if sr.record.official_score is None else sr.record.official_score,
-            sr.base_risk,
-            sr.impact,
-            sr.composite,
-            sr.severity.label,
-        )
-        for sr in scored
+        (r.cve_id, "" if r.official_score is None else r.official_score, *cells[row])
+        for r, row in zip(scored.records, scored.rows.tolist())
     ]
 
 
-def _method_comparison(scored, officials: np.ndarray, config: ModelConfig) -> list[tuple]:
+def _method_comparison(scored: ScoredBatch, config: ModelConfig) -> list[tuple]:
     """Model-vs-official agreement for the active config and for the
     equal-weight preset with its scale refit on the same records; the
-    preset scores each distinct vector code once."""
-    model_scores = [sr.composite for sr in scored]
+    preset scores each distinct vector code (table row) once."""
+    officials = scored.officials
     delta = config.weights.delta
-    rows = [
-        (
-            "weighted_model",
-            mae(model_scores, officials),
-            _safe_spearman(model_scores, officials),
-            config.weights.kappa,
+    preset_cfg = ModelConfig(config.maps, uniform_weights(delta=delta), config.thresholds)
+    preset = [_score_vector(vector, preset_cfg)[2:4] for vector, *_ in scored.table]
+    products = np.array([10.0 * rb * impact for rb, impact in preset])
+    kappa = fit_kappa(products[scored.rows], officials, *DEFAULT_KAPPA_RANGE, delta)
+    refit = uniform_weights(kappa, delta=delta)
+    preset_scores = np.array([composite_score(rb, impact, refit) for rb, impact in preset])
+    return [
+        (method, mae(scores, officials), _safe_spearman(scores, officials), method_kappa)
+        for method, scores, method_kappa in (
+            ("weighted_model", scored.composite, config.weights.kappa),
+            ("uniform_baseline", preset_scores[scored.rows], kappa),
         )
     ]
-    preset_cfg = ModelConfig(config.maps, uniform_weights(delta=delta), config.thresholds)
-    codes = [sr.vector.code for sr in scored]
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    # (base_risk, impact) under the preset, once per distinct code
-    preset = [_score_vector(scored[k].vector, preset_cfg)[2:4] for k in first]
-    products = np.array([10.0 * rb * impact for rb, impact in preset])
-    kappa = fit_kappa(products[inverse], officials, *DEFAULT_KAPPA_RANGE, delta)
-    refit = uniform_weights(kappa, delta=delta)
-    preset_scores = np.array([composite_score(rb, impact, refit) for rb, impact in preset])[inverse]
-    rows.append(
-        (
-            "uniform_baseline",
-            mae(preset_scores, officials),
-            _safe_spearman(preset_scores, officials),
-            kappa,
-        )
-    )
-    return rows
 
 
 def build_bundle(
@@ -206,22 +192,19 @@ def build_bundle(
         raise EmptyDatasetError("no records to analyze after exclusions")
 
     scored_all, skipped = score_records(kept, config, lenient=lenient)
+    has_official = np.array([r.official_score is not None for r in scored_all.records], dtype=bool)
     skip_rows = sorted(
         [(rec.cve_id, reason) for rec, reason in skipped]
-        + [
-            (sr.record.cve_id, "no official score")
-            for sr in scored_all
-            if sr.record.official_score is None
-        ]
+        + [(rec.cve_id, "no official score") for rec in scored_all[~has_official].records]
     )
-    scored = [sr for sr in scored_all if sr.record.official_score is not None]
+    scored = scored_all[has_official]
     if not scored:
         raise UnscoreableAllError("no record has both a parseable vector and an official score")
 
     t = config.thresholds
     n = len(scored)
-    officials = official_scores(scored)
-    ids = [sr.record.cve_id for sr in scored]
+    officials = scored.officials
+    ids = [rec.cve_id for rec in scored.records]
     tables: dict[str, Table] = {}
     summary: dict = {}
 
@@ -240,7 +223,7 @@ def build_bundle(
     }
 
     def category_rows(name: str) -> list[tuple]:
-        domain, index = category_index(scored, name, thresholds=t)
+        domain, index = category_index(scored, name)
         return _share_rows(domain, np.bincount(index, minlength=len(domain)), n)
 
     sev_rows = category_rows("official_severity")
@@ -250,9 +233,9 @@ def build_bundle(
     # ---- attack vector ------------------------------------------------------
     av_rows = category_rows("AV")
     tables["attack_vector_counts"] = (("attack_vector", "count", "share"), av_rows)
-    av_stats = group_statistics(scored, "AV", thresholds=t)
+    av_stats = group_statistics(scored, "AV")
     tables["attack_vector_score_stats"] = _stats_table("attack_vector", av_stats)
-    av_high = high_risk_share(scored, "AV", HIGH_RISK_THRESHOLD, thresholds=t)
+    av_high = high_risk_share(scored, "AV", HIGH_RISK_THRESHOLD)
     tables["attack_vector_high_risk"] = (
         ("attack_vector", "count", "high_risk_count", "share"),
         _field_rows(av_high),
@@ -270,12 +253,12 @@ def build_bundle(
     }
 
     # ---- privileges and complexity ------------------------------------------
-    pr_stats = group_statistics(scored, "PR", thresholds=t)
+    pr_stats = group_statistics(scored, "PR")
     tables["privilege_score_stats"] = _stats_table("privileges_required", pr_stats)
     summary["privileges"] = {"score_stats": [asdict(g) for g in pr_stats]}
 
     def add_conditional(prefix: str, x: str, y: str, row_header: str):
-        cm = conditional_matrix(scored, x, y, thresholds=t)
+        cm = conditional_matrix(scored, x, y)
         tables[f"{prefix}_counts"] = _matrix_table(row_header, cm.row_domain, cm.col_domain, cm.counts)
         tables[f"{prefix}_probs"] = _matrix_table(row_header, cm.row_domain, cm.col_domain, cm.probs)
         return cm
@@ -292,7 +275,7 @@ def build_bundle(
     }
 
     def add_cross(prefix: str, x: str, y: str, row_header: str):
-        ct = cross_statistics(scored, x, y, thresholds=t)
+        ct = cross_statistics(scored, x, y)
         tables[f"{prefix}_mean_score"] = _matrix_table(row_header, ct.row_domain, ct.col_domain, ct.means)
         tables[f"{prefix}_counts"] = _matrix_table(row_header, ct.row_domain, ct.col_domain, ct.counts)
         return ct
@@ -300,8 +283,7 @@ def build_bundle(
     acpr = add_cross("complexity_privilege", "AC", "PR", "attack_complexity")
     ia = add_cross("integrity_availability", "I", "A", "integrity")
 
-    high_subset = [sr for sr in scored if sr.record.official_score >= HIGH_RISK_THRESHOLD]
-    hm = conditional_matrix(high_subset, "AC", "PR", thresholds=t)
+    hm = conditional_matrix(scored[officials >= HIGH_RISK_THRESHOLD], "AC", "PR")
     tables["high_risk_complexity_privilege"] = _matrix_table(
         "attack_complexity", hm.row_domain, hm.col_domain, hm.counts
     )
@@ -421,7 +403,7 @@ def build_bundle(
 
     # ---- model scores and agreement -----------------------------------------
     tables["model_scores"] = (SCORE_HEADER, score_rows(scored))
-    comparison = _method_comparison(scored, officials, config)
+    comparison = _method_comparison(scored, config)
     tables["method_comparison"] = (("method", "mae", "spearman_rho", "kappa"), [
         (method, m, _cell(rho), kappa) for method, m, rho, kappa in comparison
     ])
@@ -537,6 +519,41 @@ def write_csv(path: Path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def check_bundle(out_dir, summary: dict) -> None:
+    """Raise ``BundleError`` unless every table the summary lists, and the
+    skip report, is a CSV file that ends with a newline and whose rows are
+    as wide as its header, with one row per analyzed (or skipped) record
+    where the table has one."""
+    out = Path(out_dir)
+    names = [*summary["tables"], "skip_report"]
+    missing = [name for name in names if not (out / f"{name}.csv").exists()]
+    if missing:
+        raise BundleError(f"bundle is missing tables: {', '.join(missing)}")
+    dataset = summary["dataset"]
+    per_record = {
+        "model_scores": dataset["records_analyzed"],
+        "joint_risk": dataset["records_analyzed"],
+        "skip_report": dataset["records_skipped"],
+    }
+    for name in names:
+        data = (out / f"{name}.csv").read_bytes()
+        if not data.endswith(b"\n"):
+            raise BundleError(f"{name}.csv does not end with a newline")
+        try:
+            header, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise BundleError(f"{name}.csv is not a UTF-8 CSV file: {exc}") from None
+        for line, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise BundleError(
+                    f"{name}.csv row {line} has {len(row)} cells, its header {len(header)}"
+                )
+        if name in per_record and len(rows) != per_record[name]:
+            raise BundleError(
+                f"{name}.csv has {len(rows)} rows, the summary says {per_record[name]}"
+            )
 
 
 def write_bundle(bundle: ReportBundle, out_dir, fmt: str = "all") -> list[Path]:

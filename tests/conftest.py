@@ -8,6 +8,7 @@ import os
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cverisk.cache import read_cache
@@ -62,7 +63,7 @@ def sample_records():
 def sample_scored(sample_records):
     """Fixture records that carry both a parseable vector and an official score."""
     scored, _ = score_records(sample_records)
-    return [sr for sr in scored if sr.record.official_score is not None]
+    return scored[np.array([r.official_score is not None for r in scored.records])]
 
 
 @pytest.fixture(scope="session")

@@ -62,7 +62,7 @@ def _severity_label(score):
 @pytest.fixture(scope="module")
 def fixture_scored(sample_scored):
     """The first 100 fully usable records of the shipped cache, id-sorted."""
-    return sorted(sample_scored, key=lambda sr: sr.record.cve_id)[:100]
+    return sample_scored[np.argsort([r.cve_id for r in sample_scored.records])[:100]]
 
 
 def test_criterion_1_parser_exhaustive_roundtrip_and_fuzz():

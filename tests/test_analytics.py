@@ -31,22 +31,28 @@ from cverisk.analytics import (
     silverman_bandwidth,
     spearman_rho,
 )
-from cverisk.model import score_record
+from cverisk.model import score_records
 
 import oracles
 from conftest import make_record
+from test_model import CUSTOM_CONFIG
 
 
 def scored(vector_suffix, official, cve_id="CVE-2024-12345"):
-    return score_record(make_record(cve_id=cve_id, vector="CVSS:3.1/" + vector_suffix, official=official))
+    """A batch of one scored record."""
+    return scored_batch([(vector_suffix, official)], cve_ids=[cve_id])
 
 
-def scored_batch(spec):
+def scored_batch(spec, cve_ids=None):
     """spec: list of (vector_suffix, official_score) pairs."""
-    return [
-        scored(suffix, official, cve_id=f"CVE-2024-{70000 + k}")
-        for k, (suffix, official) in enumerate(spec)
+    cve_ids = cve_ids or [f"CVE-2024-{70000 + k}" for k in range(len(spec))]
+    records = [
+        make_record(cve_id=cve_id, vector="CVSS:3.1/" + suffix, official=official)
+        for cve_id, (suffix, official) in zip(cve_ids, spec)
     ]
+    batch, skipped = score_records(records)
+    assert not skipped
+    return batch
 
 
 # --- correlation matrix -----------------------------------------------------
@@ -132,7 +138,7 @@ def test_factor_matrix_from_scored_appends_official_column():
 def test_factor_matrix_from_scored_requires_officials():
     sr = scored("AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H", None)
     with pytest.raises(ValueError, match="official"):
-        FactorMatrix.from_scored([sr])
+        FactorMatrix.from_scored(sr)
 
 
 # --- conditional matrices ---------------------------------------------------
@@ -225,10 +231,22 @@ def test_model_severity_factor_uses_model_classification():
     assert cm.counts.sum() == len(batch)
 
 
+def test_official_severity_uses_the_thresholds_the_batch_was_scored_with():
+    spec = [(3.4, "Low"), (3.7, "Medium"), (6.8, "High"), (8.7, "Critical"), (9.2, "Critical")]
+    records = [
+        make_record(cve_id=f"CVE-2024-{70000 + k}", official=official)
+        for k, (official, _) in enumerate(spec)
+    ]
+    batch, _ = score_records(records, CUSTOM_CONFIG)  # tau 3.5 / 6.5 / 8.5
+    cm = conditional_matrix(batch, "AV", "official_severity")
+    want = [sum(label == col for _, label in spec) for col in cm.col_domain]
+    assert cm.counts[cm.row_domain.index("Network")].tolist() == want == [1, 1, 1, 2]
+
+
 def test_official_severity_requires_official_score():
     sr = scored("AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H", None)
     with pytest.raises(ValueError, match="official"):
-        conditional_matrix([sr], "AV", "official_severity")
+        conditional_matrix(sr, "AV", "official_severity")
 
 
 # --- joint risk -------------------------------------------------------------

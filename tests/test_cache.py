@@ -190,3 +190,40 @@ def test_shipped_fixture_contents():
     assert missing_score == 6
     assert len({r.cve_id for r in records}) == 200
     assert all(r.published.tzinfo is not None for r in records)
+
+
+def cache_with_field(tmp_path, field, value):
+    """A four-record cache whose third record (line 4) has ``field`` set to
+    ``value`` in its JSON object."""
+    path = write_cache(some_records(4), tmp_path / "c.jsonl", retrieved_at=FIXED_TS)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    data = json.loads(lines[3])
+    data[field] = value
+    lines[3] = json.dumps(data, sort_keys=True) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("vector_string", 5), ("vector_string", ["CVSS:3.1"]), ("vector_string", {"AV": "N"}),
+     ("official_score", True), ("official_score", False)],
+    ids=["vector-number", "vector-list", "vector-object", "score-true", "score-false"],
+)
+def test_wrongly_typed_field_is_a_corrupt_line(tmp_path, caplog, field, value):
+    path = cache_with_field(tmp_path, field, value)
+    with pytest.raises(CacheFormatError) as err:
+        read_cache(path)
+    assert err.value.line_no == 4
+    with caplog.at_level(logging.WARNING, logger="cverisk.cache"):
+        records = read_cache(path, lenient=True)
+    assert [r.cve_id for r in records] == ["CVE-2024-10000", "CVE-2024-10001", "CVE-2024-10003"]
+    assert "line 4" in caplog.text
+
+
+def test_record_rejects_wrongly_typed_fields():
+    with pytest.raises(ValueError, match="vector string"):
+        make_record(vector=5)
+    with pytest.raises(ValueError, match="official score"):
+        make_record(official=True)
+    assert make_record(official=7).official_score == 7

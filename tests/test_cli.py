@@ -3,6 +3,7 @@ contracts for the usual failure modes."""
 
 import errno
 import json
+import random
 import shutil
 
 import pytest
@@ -10,8 +11,9 @@ from click.testing import CliRunner
 
 import cverisk.cli as cli_module
 from cverisk import __version__
-from cverisk.cache import write_cache
+from cverisk.cache import read_cache, write_cache
 from cverisk.cli import main
+from cverisk.model import ScoringError, score_record
 from cverisk.nvd import NetworkError
 
 from conftest import SAMPLE_CACHE, make_record
@@ -151,6 +153,40 @@ def test_lenient_mode_rides_over_corrupt_lines(runner, cache_copy, tmp_path):
     )
     assert lenient.exit_code == 0, lenient.output
     assert "scored 193 records" in lenient.output
+
+
+@pytest.mark.parametrize(
+    "command", [["score"], ["analyze"], ["calibrate", "--n-cal", "100"]], ids=lambda c: c[0]
+)
+@pytest.mark.parametrize("value", [5, ["CVSS:3.1"]], ids=["number", "list"])
+def test_non_string_vector_is_a_corrupt_cache_line(runner, cache_copy, tmp_path, command, value):
+    lines = cache_copy.read_text(encoding="utf-8").splitlines(keepends=True)
+    data = json.loads(lines[5])
+    data["vector_string"] = value
+    lines[5] = json.dumps(data, sort_keys=True) + "\n"
+    cache_copy.write_text("".join(lines), encoding="utf-8")
+    args = [*command, "--cache", str(cache_copy)]
+    strict = runner.invoke(main, [*args, "--out", str(tmp_path / "strict")])
+    assert strict.exit_code == 3, strict.output
+    assert "line 6" in strict.output
+    lenient = runner.invoke(main, [*args, "--lenient", "--out", str(tmp_path / "lenient")])
+    assert lenient.exit_code == 0, lenient.output
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("lenient", [False, True])
+def test_calibration_sample_draws_from_the_id_sorted_pool(seed, lenient):
+    records = read_cache(SAMPLE_CACHE)
+    pool = []
+    for record in sorted(records, key=lambda r: r.cve_id):
+        try:
+            sr = score_record(record, lenient=lenient)
+        except ScoringError:
+            continue
+        if record.official_score is not None:
+            pool.append(sr)
+    expected = random.Random(seed).sample(pool, 60)
+    assert list(cli_module._calibration_sample(records, 60, seed, lenient)) == expected
 
 
 def test_calibrate_insufficient_records(runner, cache_copy, tmp_path):
@@ -316,6 +352,46 @@ def test_report_detects_missing_tables(runner, cache_copy, tmp_path):
     result = runner.invoke(main, ["report", "--bundle", str(out_dir)])
     assert result.exit_code == 3
     assert "ecdf" in result.output
+
+
+def _cut_mid_row(text):
+    return text[: len(text) - 7]
+
+
+def _drop_last_row(text):
+    return text[: text.rstrip("\n").rfind("\n") + 1]
+
+
+def _drop_a_cell(text):
+    lines = text.splitlines(keepends=True)
+    lines[1] = lines[1].split(",", 1)[1]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    ("table", "cut", "message"),
+    [
+        ("model_scores", _cut_mid_row, "does not end with a newline"),
+        ("model_scores", _drop_last_row, "the summary says"),
+        ("joint_risk", _drop_last_row, "the summary says"),
+        ("skip_report", _drop_last_row, "the summary says"),
+        ("ecdf", _cut_mid_row, "does not end with a newline"),
+        ("correlation_matrix", _drop_a_cell, "row 2 has 9 cells, its header 10"),
+        ("severity_mix", lambda text: "", "does not end with a newline"),
+    ],
+    ids=["cut", "short", "joint-short", "skips-short", "ecdf-cut", "narrow-row", "empty"],
+)
+def test_report_rejects_a_truncated_csv(runner, cache_copy, tmp_path, table, cut, message):
+    out_dir = tmp_path / "bundle"
+    assert runner.invoke(
+        main, ["analyze", "--cache", str(cache_copy), "--out", str(out_dir)]
+    ).exit_code == 0
+    assert runner.invoke(main, ["report", "--bundle", str(out_dir)]).exit_code == 0
+    path = out_dir / f"{table}.csv"
+    path.write_text(cut(path.read_text(encoding="utf-8")), encoding="utf-8")
+    result = runner.invoke(main, ["report", "--bundle", str(out_dir)])
+    assert result.exit_code == 3, result.output
+    assert f"{table}.csv" in result.output and message in result.output
 
 
 @pytest.mark.parametrize(

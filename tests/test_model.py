@@ -5,6 +5,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -344,12 +345,45 @@ def test_score_records_equals_score_record_per_record(config, lenient):
         except ScoringError as exc:
             expected_skipped.append((record, exc.reason))
     scored, skipped = score_records(records, config, lenient=lenient)
-    assert scored == expected
+    assert list(scored) == expected
     assert skipped == expected_skipped
     by_code = {}
     for sr in scored:
         first = by_code.setdefault(sr.vector.code, sr)
         assert sr.vector is first.vector and sr.factors is first.factors
+    assert len(scored.table) == len(by_code)
+    assert scored.thresholds == (config or ModelConfig()).thresholds
+    assert scored.codes.tolist() == [sr.vector.code for sr in expected]
+    assert scored.factors.tolist() == [list(sr.factors) for sr in expected]
+    for column in ("base_risk", "impact", "composite", "severity"):
+        assert getattr(scored, column).tolist() == [getattr(sr, column) for sr in expected]
+    with_official = [sr.record.official_score is not None for sr in expected]
+    assert scored[np.array(with_official)].officials.tolist() == [
+        sr.record.official_score for sr in expected if sr.record.official_score is not None
+    ]
+    with pytest.raises(ValueError, match="no official score"):
+        scored.officials
+
+
+def test_sub_batches_keep_record_order_table_and_thresholds():
+    batch, _ = score_records(read_cache(SAMPLE_CACHE), CUSTOM_CONFIG)
+    n = len(batch)
+    mask = np.arange(n) % 3 == 1
+    for key, picked in [
+        (slice(10, 40, 3), list(range(10, 40, 3))),
+        (mask, np.flatnonzero(mask).tolist()),
+        (np.array([n - 1, 0, 5, 5]), [n - 1, 0, 5, 5]),
+    ]:
+        sub = batch[key]
+        assert sub.records == [batch.records[k] for k in picked]
+        assert sub.rows.tolist() == [batch.rows[k] for k in picked]
+        assert sub.table is batch.table and sub.thresholds is batch.thresholds
+        assert list(sub) == [batch[k] for k in picked]
+        assert sub.composite.tolist() == [batch.composite[k] for k in picked]
+    assert batch[-1] == batch[n - 1]
+    assert len(batch[np.zeros(n, dtype=bool)]) == 0
+    with pytest.raises(IndexError):
+        batch[n]
 
 
 def test_exhaustive_scoring_matches_bruteforce_classification(all_scored):

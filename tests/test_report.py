@@ -5,6 +5,7 @@ import math
 from dataclasses import replace
 
 import jsonschema
+import numpy as np
 import pytest
 
 from cverisk.analytics import (
@@ -136,7 +137,8 @@ def test_joint_risk_table_and_top_ten(bundle):
 
 def test_joint_risk_column_equals_the_per_row_index(bundle, sample_records):
     """Computing the index once per activation pattern changes no bit."""
-    scored = [sr for sr in score_records(sample_records)[0] if sr.record.official_score is not None]
+    batch, _ = score_records(sample_records)
+    scored = batch[np.array([r.official_score is not None for r in batch.records])]
     fm = FactorMatrix.from_scored(scored)
     corr = correlation_matrix(fm)
     cfg = JointRiskConfig.from_data(corr, fm)
