@@ -4,13 +4,12 @@ NVD base scores."""
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import DEFAULT_OMEGA, DEFAULT_PHI, DEFAULT_PSI, ETA
+from .encoding import encode_factors
 from .model import GRID_TOLERANCE, ModelWeights, ScoredRecord, official_scores
 
 DEFAULT_KAPPA_RANGE = (0.5, 2.0, 0.05)
@@ -18,7 +17,9 @@ DEFAULT_LAMBDA_GRID = (0.25, 0.5, 0.75, 1.0)
 #: How far ``official * 10`` may sit from a whole number and still count as
 #: on the 0.1 grid (parsed decimals carry float dust).
 _OFF_GRID_SLACK = 1e-6
-_MAX_DELTA_DENOMINATOR = 100
+#: Rows per block when ``fit_kappa`` sums squared errors, which bounds its
+#: temporaries at a few ``(_KAPPA_BLOCK, kappas)`` arrays.
+_KAPPA_BLOCK = 4096
 
 
 class EmptyCalibrationSetError(ValueError):
@@ -31,8 +32,7 @@ class BadGridStepError(ValueError):
 
 class OffGridError(ValueError):
     """The exact weight search cannot put a value on its integer grid: an
-    official score off the 0.1 grid, or a ``delta`` without a common unit
-    with it."""
+    official score off the 0.1 grid, or a sample too large for exact sums."""
 
 
 def uniform_weights(kappa: float = 1.0, delta: float = 0.1) -> ModelWeights:
@@ -53,6 +53,24 @@ def _kappa_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(round((hi - lo) / step) + 1)
 
 
+def _mean_squared_errors(
+    products: np.ndarray, officials: np.ndarray, grid: np.ndarray, delta: float
+) -> np.ndarray:
+    """Per-kappa MSE of the composites of ``products`` against ``officials``.
+
+    Rows are summed in blocks, but each block is stacked under the running
+    total and reduced along axis 0, which adds the rows one by one in record
+    order as a one-shot ``mean(axis=0)`` does, so the bits are the same.
+    """
+    total = np.zeros(len(grid))
+    for start in range(0, len(products), _KAPPA_BLOCK):
+        raw = products[start : start + _KAPPA_BLOCK, None] * grid[None, :]
+        scores = np.minimum(10.0, np.ceil(raw / delta - GRID_TOLERANCE) * delta)
+        errors = (scores - officials[start : start + _KAPPA_BLOCK, None]) ** 2
+        total = np.add.reduce(np.vstack([total, errors]), axis=0)
+    return total / len(products)
+
+
 def fit_kappa(
     products: np.ndarray, officials: np.ndarray, lo: float, hi: float, step: float, delta: float
 ) -> float:
@@ -64,9 +82,7 @@ def fit_kappa(
     smaller kappa.
     """
     grid = _kappa_grid(lo, hi, step)
-    raw = products[:, None] * grid[None, :]
-    scores = np.minimum(10.0, np.ceil(raw / delta - GRID_TOLERANCE) * delta)
-    mse = ((scores - officials[:, None]) ** 2).mean(axis=0)
+    mse = _mean_squared_errors(products, officials, grid, delta)
     # np.argmin returns the first minimum, which is the smallest kappa.
     return float(grid[int(np.argmin(mse))])
 
@@ -98,6 +114,8 @@ class _Groups:
 def _group_sample(cal: Sequence[ScoredRecord]) -> _Groups:
     """Group by the only levels the composite reads; at most 648 groups,
     encoded with the default attribute maps that ``calibrate`` writes out.
+    The default encodings are distinct per level, so equal encodings mean
+    equal levels.
 
     Official scores must sit on the 0.1 grid, as NVD base scores do, so
     that squared errors are whole numbers of 0.01.
@@ -110,35 +128,16 @@ def _group_sample(cal: Sequence[ScoredRecord]) -> _Groups:
         raise OffGridError(
             f"{record.cve_id}: official score {record.official_score!r} is not on the 0.1 grid"
         )
-    index: dict[tuple, int] = {}
-    member = np.array(
-        [
-            index.setdefault((v.av, v.ac, v.pr, v.c, v.i, v.a), len(index))
-            for v in (sr.vector for sr in cal)
-        ],
-        dtype=np.intp,
-    )
+    encoded = np.array([encode_factors(sr.vector) for sr in cal])[:, [0, 1, 2, 5, 6, 7]]
+    levels, member = np.unique(encoded, axis=0, return_inverse=True)
+    member = member.reshape(-1)  # numpy 2.0.0 returns it 2-D
     return _Groups(
-        exploit=np.array(
-            [[DEFAULT_PHI[av], DEFAULT_PSI[ac], DEFAULT_OMEGA[pr]] for av, ac, pr, *_ in index]
-        ),
-        eta=np.array([[ETA[c], ETA[i], ETA[a]] for *_, c, i, a in index]),
-        count=np.bincount(member, minlength=len(index)).astype(float),
-        official_tenths=np.bincount(member, weights=tenths, minlength=len(index)),
+        exploit=levels[:, :3],
+        eta=levels[:, 3:],
+        count=np.bincount(member, minlength=len(levels)).astype(float),
+        official_tenths=np.bincount(member, weights=tenths, minlength=len(levels)),
         member=member,
     )
-
-
-def _units(delta: float) -> tuple[int, int]:
-    """``(per_point, per_delta)``: how many integer units one score point
-    and one ``delta`` step span, for the largest unit dividing both 0.1 and
-    ``delta``."""
-    for q in range(1, _MAX_DELTA_DENOMINATOR + 1):  # delta = p / q in lowest terms
-        p = round(delta * q)
-        if p > 0 and math.isclose(p / q, delta, rel_tol=1e-12):
-            per_point = math.lcm(10, q)
-            return per_point, p * per_point // q
-    raise OffGridError(f"delta {delta!r} has no exact common unit with the 0.1 score grid")
 
 
 def _products(
@@ -161,21 +160,18 @@ def _products(
     return 10.0 * base * impact[:, None]
 
 
-def _score_units(
-    products: np.ndarray, kappa: float, delta: float, per_delta: int, cap: int, out: np.ndarray
-) -> np.ndarray:
-    """Composite scores at ``kappa`` in integer units, written into ``out``.
+def _score_units(products: np.ndarray, kappa: float, out: np.ndarray) -> np.ndarray:
+    """Composite scores at ``kappa`` in 0.1 units, written into ``out``.
 
-    The float steps are ``model.composite_score``'s, so each count of
-    ``delta`` steps is the scalar path's; the count is then scaled to units
-    and capped at ``cap`` (10 points) exactly.
+    The float steps are ``model.composite_score``'s at ``delta = 0.1``, so
+    each count of 0.1 steps is the scalar path's; the count is then capped
+    at 100 (10 points) exactly.
     """
     np.multiply(products, kappa, out=out)
-    out /= delta
+    out /= 0.1
     out -= GRID_TOLERANCE
     np.ceil(out, out=out)
-    out *= per_delta
-    return np.minimum(out, cap, out=out)
+    return np.minimum(out, 100.0, out=out)
 
 
 def calibrate_weights(
@@ -184,31 +180,26 @@ def calibrate_weights(
     *,
     lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
     kappa_range: tuple[float, float, float] = DEFAULT_KAPPA_RANGE,
-    delta: float = 0.1,
 ) -> ModelWeights:
     """Coarse grid search over the exploitability simplex and CIA weights.
 
     Every (alpha, beta, gamma, lambda_c, lambda_i, lambda_a) cell refits
-    kappa on its own grid, the smallest kappa winning ties. Cells compare by
-    their exact sum of squared errors, in integer units of the 0.1 grid
-    official scores sit on; the lowest wins, and equal sums go to the
-    lexicographically smallest full weight tuple, across all lambda
-    triples. Records are grouped by their (AV, AC, PR, C, I, A) levels
-    first, so the cost is bounded by the at most 648 distinct keys, not by
-    the sample size.
+    kappa on its own grid, the smallest kappa winning ties. Scores round up
+    to the 0.1 grid official scores sit on (the default ``delta``), and
+    cells compare by their exact sum of squared errors in 0.1 units; the
+    lowest wins, and equal sums go to the lexicographically smallest full
+    weight tuple, across all lambda triples. Records are grouped by their
+    (AV, AC, PR, C, I, A) levels first, so the cost is bounded by the at
+    most 648 distinct keys, not by the sample size.
 
-    Raises ``OffGridError`` for an official score off the 0.1 grid or a
-    ``delta`` the integer units cannot represent.
+    Raises ``OffGridError`` for an official score off the 0.1 grid.
     """
     groups = _group_sample(cal)
     if not 0.0 < grid_step <= 1.0 or abs(round(1.0 / grid_step) * grid_step - 1.0) > 1e-9:
         raise BadGridStepError(f"grid step {grid_step} does not divide 1 evenly")
     n_div = round(1.0 / grid_step)
-    per_point, per_delta = _units(delta)
-    cap = 10 * per_point
-    official_units = groups.official_tenths * (per_point // 10)
-    if 2.0 * len(cal) * cap**2 >= 2.0**53:
-        raise OffGridError(f"{len(cal)} records overflow the exact error sums at delta {delta!r}")
+    if 2.0 * len(cal) * 100.0**2 >= 2.0**53:
+        raise OffGridError(f"{len(cal)} records overflow the exact error sums")
 
     # ascending lexicographic order, as are the lambda triples below
     simplex = np.array(
@@ -227,14 +218,14 @@ def calibrate_weights(
     for t, lambdas in enumerate(triples):
         products = _products(groups, simplex, lambdas)
         for k, kappa in enumerate(kappas):
-            _score_units(products, kappa, delta, per_delta, cap, out=units)
+            _score_units(products, kappa, out=units)
             # SSE minus the constant sum of squared officials. Every term is
             # an integer below 2**53, so these float sums are exact in any order.
-            cross = official_units @ units
+            cross = groups.official_tenths @ units
             sse[:, k] = groups.count @ np.square(units, out=units) - 2.0 * cross
         cell_kappa[:, t] = np.argmin(sse, axis=1)  # first minimum = smallest kappa
         cell_sse[:, t] = sse[np.arange(len(simplex)), cell_kappa[:, t]]
     # The first minimum in row-major order has the smallest full tuple.
     s, t = np.unravel_index(np.argmin(cell_sse), cell_sse.shape)
     alpha, beta, gamma = (float(x) for x in simplex[s])
-    return ModelWeights(alpha, beta, gamma, *triples[t], float(kappas[cell_kappa[s, t]]), delta)
+    return ModelWeights(alpha, beta, gamma, *triples[t], float(kappas[cell_kappa[s, t]]))

@@ -183,11 +183,13 @@ def build_bundle(
 
     ``exclude_ids`` (typically the calibration sample) are dropped before
     anything is computed, so they can never leak into the output tables.
+    The rest are taken in ``cve_id`` order, so the bundle does not depend
+    on the order the cache lists them in.
     """
     config = config or ModelConfig()
     records = list(records)
     exclude = frozenset(exclude_ids)
-    kept = [r for r in records if r.cve_id not in exclude]
+    kept = sorted((r for r in records if r.cve_id not in exclude), key=lambda r: r.cve_id)
     if not kept:
         raise EmptyDatasetError("no records to analyze after exclusions")
 
@@ -525,17 +527,18 @@ def check_bundle(out_dir, summary: dict) -> None:
     """Raise ``BundleError`` unless every table the summary lists, and the
     skip report, is a CSV file that ends with a newline and whose rows are
     as wide as its header, with one row per analyzed (or skipped) record
-    where the table has one."""
+    where the table has one and one per histogram bin of the summary."""
     out = Path(out_dir)
     names = [*summary["tables"], "skip_report"]
     missing = [name for name in names if not (out / f"{name}.csv").exists()]
     if missing:
         raise BundleError(f"bundle is missing tables: {', '.join(missing)}")
     dataset = summary["dataset"]
-    per_record = {
+    row_counts = {
         "model_scores": dataset["records_analyzed"],
         "joint_risk": dataset["records_analyzed"],
         "skip_report": dataset["records_skipped"],
+        "severity_histogram": len(summary["severity_histogram"]),
     }
     for name in names:
         data = (out / f"{name}.csv").read_bytes()
@@ -550,9 +553,9 @@ def check_bundle(out_dir, summary: dict) -> None:
                 raise BundleError(
                     f"{name}.csv row {line} has {len(row)} cells, its header {len(header)}"
                 )
-        if name in per_record and len(rows) != per_record[name]:
+        if name in row_counts and len(rows) != row_counts[name]:
             raise BundleError(
-                f"{name}.csv has {len(rows)} rows, the summary says {per_record[name]}"
+                f"{name}.csv has {len(rows)} rows, the summary says {row_counts[name]}"
             )
 
 

@@ -12,14 +12,16 @@ from cverisk.calibration import (
     EmptyCalibrationSetError,
     OffGridError,
     _group_sample,
+    _kappa_grid,
+    _mean_squared_errors,
     _products,
     _score_units,
-    _units,
     calibrate_kappa,
     calibrate_weights,
+    fit_kappa,
     uniform_weights,
 )
-from cverisk.model import ModelConfig, ModelWeights, score_record
+from cverisk.model import GRID_TOLERANCE, ModelConfig, ModelWeights, score_record
 
 import oracles
 from conftest import make_record
@@ -245,26 +247,53 @@ def test_calibrate_weights_ignores_repeating_every_record(sample_scored):
     assert calibrate_weights(tripled) == calibrate_weights(cal)
 
 
-@pytest.mark.parametrize("delta", [0.1, 0.05, 0.5])
-def test_search_score_units_equal_scalar_composites(sample_scored, delta):
+def test_search_score_units_equal_scalar_composites(sample_scored):
     """The units the search compares at its returned cell are the returned
     config's own composites, so the kappa it picks is best for that config."""
     cal = sample_scored[:80]
-    w = calibrate_weights(cal, delta=delta)
+    w = calibrate_weights(cal)
+    assert w.delta == 0.1
     groups = _group_sample(cal)
-    per_point, per_delta = _units(delta)
     simplex = np.array([[w.alpha, w.beta, w.gamma]])
     products = _products(groups, simplex, (w.lambda_c, w.lambda_i, w.lambda_a))
-    units = _score_units(
-        products, w.kappa, delta, per_delta, 10 * per_point, out=np.empty_like(products)
-    )
+    units = _score_units(products, w.kappa, out=np.empty_like(products))
     cfg = ModelConfig(weights=w)
     for sr, group in zip(cal, groups.member):
-        assert units[group, 0] == round(score_record(sr.record, cfg).composite * per_point)
+        assert units[group, 0] == round(score_record(sr.record, cfg).composite * 10)
 
 
-def test_calibrate_weights_rejects_off_grid_officials_and_inexact_deltas():
+def test_calibrate_weights_rejects_off_grid_officials():
     with pytest.raises(OffGridError, match="CVE-2024-30001"):
         calibrate_weights([fake_scored(5.0, 5.0, 0), fake_scored(5.0, 7.25, 1)])
-    with pytest.raises(OffGridError, match="delta"):
-        calibrate_weights([fake_scored(5.0, 5.0)], delta=0.1234567)
+
+
+def _one_shot_mse(products, officials, grid, delta):
+    raw = products[:, None] * grid[None, :]
+    scores = np.minimum(10.0, np.ceil(raw / delta - GRID_TOLERANCE) * delta)
+    return ((scores - officials[:, None]) ** 2).mean(axis=0)
+
+
+@pytest.mark.parametrize("n", [1, 4096, 4097, 50_000])
+@pytest.mark.parametrize("tied", [False, True])
+def test_fit_kappa_blocks_keep_the_one_shot_bits(n, tied):
+    """Summing the errors block by block gives the one-shot MSE bit for bit,
+    so the kappa, ties included, is the one-shot expression's."""
+    rng = np.random.default_rng(n)
+    if tied:
+        # 0.81 * kappa rounds up to 0.9 for kappa 1.0, 1.05 and 1.1, so
+        # those three score every record alike and tie for the least MSE.
+        products = np.full(n, 0.81)
+        officials = np.round(rng.uniform(0.6, 1.2, n), 1)
+    else:
+        products = rng.uniform(0.0, 10.0, n)
+        officials = np.round(rng.uniform(0.0, 10.0, n), 1)
+    lo, hi, step = 0.5, 2.0, 0.05
+    grid = _kappa_grid(lo, hi, step)
+    for delta in (0.1, 0.05):
+        got = _mean_squared_errors(products, officials, grid, delta)
+        want = _one_shot_mse(products, officials, grid, delta)
+        assert got.tobytes() == want.tobytes()
+        kappa = fit_kappa(products, officials, lo, hi, step, delta)
+        assert kappa == float(grid[int(np.argmin(want))])
+    if tied:
+        assert fit_kappa(products, officials, lo, hi, step, 0.1) == 1.0

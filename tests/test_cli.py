@@ -80,6 +80,30 @@ def test_analyze_runs_are_byte_identical(runner, cache_copy, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def _bundle_without_dataset_hash(out_dir):
+    return {
+        p.name: [line for line in p.read_bytes().splitlines() if b"dataset_sha256" not in line]
+        for p in out_dir.iterdir()
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_analyze_ignores_the_cache_line_order(runner, tmp_path, seed):
+    header, *lines = SAMPLE_CACHE.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(seed).shuffle(lines)
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text(header + "".join(lines), encoding="utf-8")
+    bundles = []
+    for name, cache in (("plain", SAMPLE_CACHE), ("shuffled", shuffled)):
+        out_dir = tmp_path / name
+        result = runner.invoke(
+            main, ["analyze", "--cache", str(cache), "--lenient", "--out", str(out_dir)]
+        )
+        assert result.exit_code == 0, result.output
+        bundles.append(_bundle_without_dataset_hash(out_dir))
+    assert bundles[0] == bundles[1]
+
+
 def test_score_command_writes_scores_and_skips(runner, cache_copy, tmp_path):
     out_dir = tmp_path / "scores"
     result = runner.invoke(main, ["score", "--cache", str(cache_copy), "--out", str(out_dir)])
@@ -378,8 +402,12 @@ def _drop_a_cell(text):
         ("ecdf", _cut_mid_row, "does not end with a newline"),
         ("correlation_matrix", _drop_a_cell, "row 2 has 9 cells, its header 10"),
         ("severity_mix", lambda text: "", "does not end with a newline"),
+        ("severity_histogram", _drop_last_row, "the summary says"),
     ],
-    ids=["cut", "short", "joint-short", "skips-short", "ecdf-cut", "narrow-row", "empty"],
+    ids=[
+        "cut", "short", "joint-short", "skips-short", "ecdf-cut", "narrow-row", "empty",
+        "histogram-short",
+    ],
 )
 def test_report_rejects_a_truncated_csv(runner, cache_copy, tmp_path, table, cut, message):
     out_dir = tmp_path / "bundle"
