@@ -76,11 +76,11 @@ def write_cache(
 
 def read_header(path) -> dict:
     """Parse and validate the cache header line."""
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("rb") as fh:
         first = fh.readline()
     try:
-        header = json.loads(first)
-    except json.JSONDecodeError as exc:
+        header = json.loads(first.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise CacheFormatError(1, f"bad header: {exc}") from exc
     if not isinstance(header, dict):
         raise CacheFormatError(1, "header is not a JSON object")
@@ -101,12 +101,14 @@ def read_cache(path, *, lenient: bool = False) -> list[CveRecord]:
     expected = read_header(path).get("count")
     records: list[CveRecord] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
+    # Binary lines split on LF only; each is decoded on its own, so a
+    # non-UTF-8 line is one corrupt line.
+    with path.open("rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line_no == 1:
                 continue
             try:
-                record = CveRecord.from_dict(json.loads(line))
+                record = CveRecord.from_dict(json.loads(line.decode("utf-8")))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 if lenient:
                     logger.warning("skipping corrupt cache line %d: %s", line_no, exc)

@@ -231,6 +231,8 @@ def _read_id_file(path: str) -> frozenset:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except FileNotFoundError:
         _fail(EXIT_IO, f"id file not found: {path}")
+    except UnicodeDecodeError as exc:
+        _fail(EXIT_DATA, f"id file {path} is not UTF-8: {exc}")
     except OSError as exc:
         _fail(EXIT_IO, f"cannot read id file {path}: {exc}")
     return frozenset(line.strip() for line in lines if line.strip())

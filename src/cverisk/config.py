@@ -77,7 +77,10 @@ def config_from_dict(values: dict[str, float]) -> ModelConfig:
 def load_config(path) -> ModelConfig:
     """Parse a key = value configuration file."""
     values: dict[str, float] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8: {exc}") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

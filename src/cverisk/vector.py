@@ -121,6 +121,17 @@ _METRICS: dict[str, tuple[str, type[Enum]]] = {
 METRIC_NAMES = tuple(_METRICS)
 _ORDINAL = {member: k for _, enum in _METRICS.values() for k, member in enumerate(enum)}
 _RADICES = tuple(len(enum) for _, enum in _METRICS.values())
+# Place value of each metric's digit in a code: (864, 432, 144, 72, 36, 12, 4, 1).
+_PLACES = tuple(math.prod(_RADICES[k + 1 :]) for k in range(len(_RADICES)))
+# Each valid token, e.g. "AV:N" -> (metric position, digit * place value).
+_TOKENS = {
+    f"{name}:{member.value}": (k, digit * _PLACES[k])
+    for k, (name, (_, enum)) in enumerate(_METRICS.items())
+    for digit, member in enumerate(enum)
+}
+_ALL_SEEN = (1 << len(_METRICS)) - 1
+# One shared vector per code, built on first use.
+_VECTORS: dict[int, CvssVector] = {}
 
 
 def metric_labels(name: str) -> tuple[str, ...]:
@@ -133,7 +144,31 @@ def metric_level(code, name: str):
     """Position of metric ``name``'s value in its enum, read from a vector
     code; ``code`` may be an int or an integer numpy array."""
     k = METRIC_NAMES.index(name)
-    return code // math.prod(_RADICES[k + 1 :]) % _RADICES[k]
+    return code // _PLACES[k] % _RADICES[k]
+
+
+def _vector(code: int) -> CvssVector:
+    return CvssVector(
+        *(
+            list(enum)[code // place % radix]
+            for (_, enum), place, radix in zip(_METRICS.values(), _PLACES, _RADICES)
+        )
+    )
+
+
+def _token_error(prefix: str, parts: list[str], seen: int) -> VectorError:
+    """The error for the first token of ``parts`` not in ``_TOKENS``; ``seen``
+    is the bitmask of the metrics before it. Each of those set one new bit,
+    so their count is the token's index."""
+    index = seen.bit_count()
+    token = parts[index]
+    name, colon, code = token.partition(":")
+    if not colon or name not in _METRICS:
+        offset = len(prefix) + 1 + sum(len(part) + 1 for part in parts[:index])
+        return TrailingGarbageError(offset, token)
+    if seen >> METRIC_NAMES.index(name) & 1:
+        return DuplicateMetricError(name)
+    return UnknownMetricValueError(name, code)
 
 
 def parse_vector(s: str, lenient: bool = False) -> CvssVector:
@@ -143,6 +178,8 @@ def parse_vector(s: str, lenient: bool = False) -> CvssVector:
     once; metric names and value codes are case-sensitive. With ``lenient``
     a ``CVSS:3.0`` prefix is also accepted (the base metric grammar is
     identical between the two revisions).
+
+    Strings with one code return the same frozen ``CvssVector``.
 
     Raises the ``VectorError`` subclass naming the first defect found:
     ``BadPrefixError``, ``TrailingGarbageError`` (unrecognized token),
@@ -156,25 +193,24 @@ def parse_vector(s: str, lenient: bool = False) -> CvssVector:
     if not sep:
         raise MissingMetricError(METRIC_NAMES[0])
 
-    fields: dict[str, Enum] = {}
-    offset = len(prefix) + 1
-    for token in rest.split("/"):
-        name, colon, code = token.partition(":")
-        if not colon or name not in _METRICS:
-            raise TrailingGarbageError(offset, token)
-        field, enum = _METRICS[name]
-        if field in fields:
-            raise DuplicateMetricError(name)
-        try:
-            fields[field] = enum(code)
-        except ValueError:
-            raise UnknownMetricValueError(name, code) from None
-        offset += len(token) + 1
+    seen = code = 0
+    parts = rest.split("/")
+    for token in parts:
+        hit = _TOKENS.get(token)
+        if hit is None:
+            raise _token_error(prefix, parts, seen)
+        k, value = hit
+        if seen >> k & 1:
+            raise DuplicateMetricError(METRIC_NAMES[k])
+        seen |= 1 << k
+        code += value
 
-    for name, (field, _) in _METRICS.items():
-        if field not in fields:
-            raise MissingMetricError(name)
-    return CvssVector(**fields)
+    if seen != _ALL_SEEN:
+        raise MissingMetricError(next(n for k, n in enumerate(METRIC_NAMES) if not seen >> k & 1))
+    vector = _VECTORS.get(code)
+    if vector is None:  # setdefault keeps the first one built under a race
+        vector = _VECTORS.setdefault(code, _vector(code))
+    return vector
 
 
 def serialize_vector(v: CvssVector) -> str:

@@ -85,6 +85,49 @@ def test_lenient_skips_corrupt_line_with_warning(tmp_path, caplog):
     assert "line 3" in caplog.text
 
 
+def _with_bad_byte(path, line_index):
+    """Put a byte that is not UTF-8 into line ``line_index`` (0-based)."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line_index] = lines[line_index].replace(b'"description": "', b'"description": "\xff', 1)
+    path.write_bytes(b"".join(lines))
+    return path
+
+
+def test_non_utf8_line_is_a_corrupt_line(tmp_path, caplog):
+    path = write_cache(some_records(4), tmp_path / "c.jsonl", retrieved_at=FIXED_TS)
+    _with_bad_byte(path, 2)
+    with pytest.raises(CacheFormatError) as err:
+        read_cache(path)
+    assert err.value.line_no == 3
+    assert "utf-8" in err.value.reason
+    with caplog.at_level(logging.WARNING, logger="cverisk.cache"):
+        records = read_cache(path, lenient=True)
+    assert [r.cve_id for r in records] == ["CVE-2024-10000", "CVE-2024-10002", "CVE-2024-10003"]
+    assert "line 3" in caplog.text
+
+
+def test_non_utf8_header_is_a_bad_header(tmp_path):
+    path = write_cache(some_records(1), tmp_path / "c.jsonl", retrieved_at=FIXED_TS)
+    path.write_bytes(path.read_bytes().replace(b'{"count"', b'{"\xffcount"', 1))
+    for read in (read_header, read_cache):
+        with pytest.raises(CacheFormatError) as err:
+            read(path)
+        assert err.value.line_no == 1
+
+
+def test_lines_split_on_lf_only(tmp_path):
+    path = write_cache(some_records(3), tmp_path / "c.jsonl", retrieved_at=FIXED_TS)
+    crlf = path.read_bytes().replace(b"\n", b"\r\n")
+    path.write_bytes(crlf)
+    assert read_cache(path) == some_records(3)
+    # a lone CR does not end a line: two records on one line are corrupt
+    lines = crlf.split(b"\r\n")
+    path.write_bytes(b"\r\n".join([lines[0], lines[1] + b"\r" + lines[2], *lines[3:]]))
+    with pytest.raises(CacheFormatError) as err:
+        read_cache(path)
+    assert err.value.line_no == 2
+
+
 def test_read_rejects_duplicate_line(tmp_path):
     path = write_cache(some_records(3), tmp_path / "c.jsonl", retrieved_at=FIXED_TS)
     with path.open("a", encoding="utf-8", newline="\n") as fh:

@@ -197,6 +197,59 @@ def test_non_string_vector_is_a_corrupt_cache_line(runner, cache_copy, tmp_path,
     assert lenient.exit_code == 0, lenient.output
 
 
+def _append_bad_byte(path, line_index):
+    """Append a byte that is not UTF-8 to line ``line_index`` (0-based)."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line_index] = lines[line_index].rstrip(b"\n") + b"\xff\n"
+    path.write_bytes(b"".join(lines))
+
+
+@pytest.mark.parametrize(
+    "command", [["score"], ["analyze"], ["calibrate", "--n-cal", "100"]], ids=lambda c: c[0]
+)
+def test_non_utf8_cache_line_is_a_corrupt_cache_line(runner, cache_copy, tmp_path, command):
+    _append_bad_byte(cache_copy, 5)
+    args = [*command, "--cache", str(cache_copy)]
+    strict = runner.invoke(main, [*args, "--strict", "--out", str(tmp_path / "strict")])
+    assert strict.exit_code == 3, strict.output
+    assert "line 6" in strict.output
+    lenient = runner.invoke(main, [*args, "--lenient", "--out", str(tmp_path / "lenient")])
+    assert lenient.exit_code == 0, lenient.output
+
+
+def test_non_utf8_cache_header_is_data_error(runner, cache_copy, tmp_path):
+    _append_bad_byte(cache_copy, 0)
+    for mode in ("--strict", "--lenient"):
+        result = runner.invoke(
+            main, ["score", "--cache", str(cache_copy), mode, "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 3, result.output
+        assert "line 1" in result.output
+
+
+def test_non_utf8_config_is_data_error(runner, cache_copy, tmp_path):
+    cfg = tmp_path / "weights.txt"
+    cfg.write_bytes(b"alpha = 0.5 # caf\xe9\n")
+    result = runner.invoke(
+        main,
+        ["score", "--cache", str(cache_copy), "--config", str(cfg), "--out", str(tmp_path / "o")],
+    )
+    assert result.exit_code == 3, result.output
+    assert "bad config" in result.output
+
+
+def test_non_utf8_exclude_file_is_data_error(runner, cache_copy, tmp_path):
+    ids = tmp_path / "ids.txt"
+    ids.write_bytes(b"CVE-2024-0001\nCVE-2024-\xff\n")
+    result = runner.invoke(
+        main,
+        ["analyze", "--cache", str(cache_copy), "--exclude-ids", str(ids),
+         "--out", str(tmp_path / "o")],
+    )
+    assert result.exit_code == 3, result.output
+    assert "not UTF-8" in result.output
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("lenient", [False, True])
 def test_calibration_sample_draws_from_the_id_sorted_pool(seed, lenient):

@@ -91,6 +91,13 @@ def test_non_finite_weight_becomes_config_error(tmp_path, line):
         load_config(path)
 
 
+def test_non_utf8_file_becomes_config_error(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"alpha = 0.5 # \xff\n")
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_config(path)
+
+
 def test_threshold_ordering_violation(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("tau1 = 8.0\ntau2 = 7.0\ntau3 = 9.0\n", encoding="utf-8")

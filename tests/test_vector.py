@@ -209,3 +209,150 @@ def test_fuzzed_invalid_strings_raise_typed_errors():
         except VectorError:
             continue
         raise AssertionError(f"mutant parsed but should not have: {mutant!r}")
+
+
+# -- Differential check against the enum-based parser -----------------------
+
+_METRIC_ENUMS = {
+    "AV": ("av", AttackVector),
+    "AC": ("ac", AttackComplexity),
+    "PR": ("pr", PrivilegesRequired),
+    "UI": ("ui", UserInteraction),
+    "S": ("scope", Scope),
+    "C": ("c", ImpactLevel),
+    "I": ("i", ImpactLevel),
+    "A": ("a", ImpactLevel),
+}
+_ERROR_ATTRS = ("found", "name", "code", "offset", "token")
+
+
+def _reference_parse(s, lenient=False):
+    """The two-pass parser that ``parse_vector`` replaced: an ``Enum`` call
+    per token and a fresh ``CvssVector`` per string."""
+    prefix, sep, rest = s.partition("/")
+    allowed = ("CVSS:3.1", "CVSS:3.0") if lenient else ("CVSS:3.1",)
+    if prefix not in allowed:
+        raise BadPrefixError(prefix)
+    if not sep:
+        raise MissingMetricError("AV")
+    fields = {}
+    offset = len(prefix) + 1
+    for token in rest.split("/"):
+        name, colon, code = token.partition(":")
+        if not colon or name not in _METRIC_ENUMS:
+            raise TrailingGarbageError(offset, token)
+        field, enum = _METRIC_ENUMS[name]
+        if field in fields:
+            raise DuplicateMetricError(name)
+        try:
+            fields[field] = enum(code)
+        except ValueError:
+            raise UnknownMetricValueError(name, code) from None
+        offset += len(token) + 1
+    for name, (field, _) in _METRIC_ENUMS.items():
+        if field not in fields:
+            raise MissingMetricError(name)
+    return CvssVector(**fields)
+
+
+def _outcome(parse, s, lenient):
+    try:
+        v = parse(s, lenient=lenient)
+    except VectorError as exc:
+        attrs = {a: getattr(exc, a) for a in _ERROR_ATTRS if hasattr(exc, a)}
+        return type(exc), str(exc), attrs
+    return CvssVector, v, v.code
+
+
+def _mutants():
+    """The 1,000 seeded mutants of ``test_fuzzed_invalid_strings_raise_typed_errors``."""
+    rng = random.Random(1337)
+    pool = list(all_vector_strings())
+    for _ in range(1000):
+        base = rng.choice(pool)
+        mode = rng.randrange(6)
+        if mode == 0:
+            yield rng.choice(["CVSS:3.2", "cvss:3.1", "CVSS31", ""]) + base[8:]
+        elif mode == 1:
+            parts = base.split("/")
+            del parts[rng.randrange(1, len(parts))]
+            yield "/".join(parts)
+        elif mode == 2:
+            parts = base.split("/")
+            parts.append(parts[rng.randrange(1, len(parts))])
+            yield "/".join(parts)
+        elif mode == 3:
+            parts = base.split("/")
+            k = rng.randrange(1, len(parts))
+            name = parts[k].split(":")[0]
+            parts[k] = f"{name}:{rng.choice('XYZQ9x')}"
+            yield "/".join(parts)
+        elif mode == 4:
+            yield base + rng.choice(["/E:H", "/XX", "//", "/AV", "/ "])
+        else:
+            k = rng.randrange(len(base))
+            yield base[:k] + rng.choice(";,| ") + base[k + 1 :]
+
+
+def _token_soup(n, seed=2024):
+    """Seeded strings of valid, misvalued, unknown and malformed tokens."""
+    rng = random.Random(seed)
+    valid = [f"{name}:{c}" for name, codes in METRIC_CODES for c in codes]
+    names = [name for name, _ in METRIC_CODES]
+    junk = ["", " ", "AV", "XX", "E:H", "av:N", "AV:N:N", ":N", "AV:", "S:u", "C :H", "A:HH"]
+    prefixes = ["CVSS:3.1"] * 6 + ["CVSS:3.0"] * 3 + ["CVSS:3.2", "cvss:3.1", "", "CVSS:3.1 "]
+    for _ in range(n):
+        if rng.random() < 0.3:  # a full set, shuffled, with at most one defect
+            tokens = [f"{name}:{rng.choice(codes)}" for name, codes in METRIC_CODES]
+            rng.shuffle(tokens)
+            k = rng.randrange(len(tokens) + 3)
+            if k < len(tokens):
+                tokens[k] = rng.choice([rng.choice(valid), rng.choice(junk),
+                                        f"{rng.choice(names)}:{rng.choice('XNLHZ9')}"])
+        else:
+            tokens = []
+            for _ in range(rng.randrange(12)):
+                roll = rng.random()
+                if roll < 0.75:
+                    tokens.append(rng.choice(valid))
+                elif roll < 0.88:
+                    tokens.append(f"{rng.choice(names)}:{rng.choice('XYZQ9xnlh')}")
+                else:
+                    tokens.append(rng.choice(junk))
+        prefix = rng.choice(prefixes)
+        yield "/".join([prefix, *tokens]) if tokens or rng.random() < 0.5 else prefix
+
+
+def test_parse_vector_matches_the_enum_reference_parser():
+    rng = random.Random(7)
+    inputs = []
+    for vs in all_vector_strings():
+        tokens = vs.split("/")[1:]
+        rng.shuffle(tokens)
+        shuffled = "/".join(["CVSS:3.1", *tokens])
+        inputs += [vs, shuffled, "CVSS:3.0" + vs[8:], "CVSS:3.0" + shuffled[8:]]
+    inputs += _mutants()
+    inputs += _token_soup(20_000)
+
+    counts = {}
+    for s in inputs:
+        for lenient in (False, True):
+            expected = _outcome(_reference_parse, s, lenient)
+            assert _outcome(parse_vector, s, lenient) == expected, (s, lenient)
+            counts[expected[0]] = counts.get(expected[0], 0) + 1
+    for kind in (CvssVector, BadPrefixError, MissingMetricError, DuplicateMetricError,
+                 UnknownMetricValueError, TrailingGarbageError):
+        assert counts.get(kind, 0) >= 100, (kind, counts)
+
+
+def test_strings_with_one_code_share_one_frozen_vector():
+    shuffled = "CVSS:3.1/A:H/S:U/AV:N/C:H/UI:N/PR:N/I:H/AC:L"
+    old = "CVSS:3.0/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H"
+    v = parse_vector(CANONICAL)
+    assert parse_vector(shuffled) is v
+    assert parse_vector(old, lenient=True) is v
+    direct = CvssVector(*(getattr(v, field) for field, _ in _METRIC_ENUMS.values()))
+    assert direct is not v
+    assert direct == v and direct.code == v.code
+    with pytest.raises(AttributeError):
+        v.av = AttackVector.LOCAL
