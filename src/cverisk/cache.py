@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .records import CveRecord
+from .records import CveRecord, as_utc
 
 logger = logging.getLogger(__name__)
 
@@ -64,7 +64,7 @@ def write_cache(
     path = Path(path)
     header = {
         "schema": SCHEMA_VERSION,
-        "retrieved_at": retrieved_at.astimezone(timezone.utc).isoformat(),
+        "retrieved_at": as_utc(retrieved_at).isoformat(),
         "count": len(records),
     }
     with path.open("w", encoding="utf-8", newline="\n") as fh:

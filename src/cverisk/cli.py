@@ -6,7 +6,7 @@ import logging
 import os
 import random
 import sys
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import click
@@ -52,7 +52,7 @@ def _fail(code: int, message: str):
 
 def _parse_window(text: str) -> tuple[datetime, datetime]:
     """Parse START..END (dates or ISO timestamps); a bare END date means
-    the whole of that day."""
+    the whole of that day. IngestWindow reads naive times as UTC."""
     try:
         start_text, _, end_text = text.partition("..")
         if not _:
@@ -64,10 +64,6 @@ def _parse_window(text: str) -> tuple[datetime, datetime]:
             end = end + timedelta(days=1) - timedelta(microseconds=1)
     except ValueError as exc:
         raise click.UsageError(f"bad --window {text!r}: {exc}") from exc
-    if start.tzinfo is None:
-        start = start.replace(tzinfo=timezone.utc)
-    if end.tzinfo is None:
-        end = end.replace(tzinfo=timezone.utc)
     return start, end
 
 
@@ -168,7 +164,7 @@ def _calibration_sample(records, n_cal: int, seed: int, lenient: bool) -> Scored
 @click.option("--seed", default=0, show_default=True, help="Sampling seed.")
 @click.option("--grid-step", default=0.05, show_default=True, help="Weight grid resolution.")
 @click.option("--strict/--lenient", "strict", default=True,
-              help="Whether malformed cache lines and vectors abort the run.")
+              help="Whether a malformed cache line aborts the run.")
 def calibrate(cache_path: str, out_dir: str, n_cal: int, seed: int, grid_step: float, strict: bool):
     """Fit model weights against official scores on a seeded sample."""
     _, records = _read_cache_or_fail(cache_path, lenient=not strict)

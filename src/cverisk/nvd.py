@@ -7,11 +7,13 @@ import logging
 import random
 import time
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
+from typing import TYPE_CHECKING
 
-import requests
+from .records import CveRecord, as_utc, parse_timestamp
 
-from .records import CveRecord
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -49,15 +51,9 @@ class MissingIdError(NvdError, ValueError):
     """An API item carries no cve.id."""
 
 
-def _as_utc(dt: datetime) -> datetime:
-    if dt.tzinfo is None:
-        return dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
-
-
 def _api_timestamp(dt: datetime) -> str:
     """RFC 3339 UTC with millisecond precision, as the API expects."""
-    dt = _as_utc(dt)
+    dt = as_utc(dt)
     return dt.strftime("%Y-%m-%dT%H:%M:%S.") + f"{dt.microsecond // 1000:03d}Z"
 
 
@@ -71,8 +67,8 @@ class IngestWindow:
     page_size: int = MAX_PAGE_SIZE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "start", _as_utc(self.start))
-        object.__setattr__(self, "end", _as_utc(self.end))
+        object.__setattr__(self, "start", as_utc(self.start))
+        object.__setattr__(self, "end", as_utc(self.end))
         if self.start >= self.end:
             raise ValueError("window start must precede end")
         if self.end - self.start > timedelta(days=MAX_WINDOW_DAYS):
@@ -127,7 +123,11 @@ class NvdClient:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self._session = session if session is not None else requests.Session()
+        if session is None:
+            import requests  # only ingest pays for the import
+
+            session = requests.Session()
+        self._session = session
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
         if rate_limiter is None:
@@ -162,6 +162,8 @@ class NvdClient:
         return records
 
     def _fetch_page(self, window: IngestWindow, start_index: int, page: int) -> dict:
+        import requests
+
         params = {
             "pubStartDate": _api_timestamp(window.start),
             "pubEndDate": _api_timestamp(window.end),
@@ -220,14 +222,17 @@ def extract_record(item: dict) -> CveRecord:
     if not published:
         raise ApiSchemaChangeError("cve.published")
     score, vector = _pick_v31_metric(cve.get("metrics") or {})
-    return CveRecord(
-        cve_id=cve_id,
-        description=_pick_description(cve_id, cve.get("descriptions") or []),
-        published=_parse_timestamp(published),
-        official_score=score,
-        vector_string=vector,
-        affected_os=_affected_os(cve.get("configurations") or []),
-    )
+    try:
+        return CveRecord(
+            cve_id=cve_id,
+            description=_pick_description(cve_id, cve.get("descriptions") or []),
+            published=parse_timestamp(published),
+            official_score=score,
+            vector_string=vector,
+            affected_os=_affected_os(cve.get("configurations") or []),
+        )
+    except ValueError as exc:
+        raise NvdError(f"API item {cve_id!r}: {exc}") from exc
 
 
 def _pick_description(cve_id: str, descriptions: list) -> str:
@@ -251,7 +256,7 @@ def _pick_v31_metric(metrics: dict) -> tuple[float | None, str | None]:
             score = data.get("baseScore")
             vector = data.get("vectorString")
             if score is not None and vector:
-                return float(score), str(vector)
+                return score, vector
     return None, None
 
 
@@ -267,7 +272,3 @@ def _affected_os(configurations: list) -> str | None:
                     if name not in names:
                         names.append(name)
     return "; ".join(names) if names else None
-
-
-def _parse_timestamp(value: str) -> datetime:
-    return _as_utc(datetime.fromisoformat(str(value).replace("Z", "+00:00")))

@@ -6,16 +6,30 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-CVE_ID_PATTERN = re.compile(r"^CVE-\d{4}-\d{4,}$")
+CVE_ID_PATTERN = re.compile(r"CVE-\d{4}-\d{4,}")
+
+
+def as_utc(dt: datetime) -> datetime:
+    """The one UTC rule, which CveRecord applies: convert an aware time, read a naive one as UTC."""
+    return dt.replace(tzinfo=timezone.utc) if dt.tzinfo is None else dt.astimezone(timezone.utc)
+
+
+def parse_timestamp(text: str) -> datetime:
+    """An ISO 8601 string as a datetime; a ``Z`` suffix means UTC."""
+    if type(text) is not str:
+        raise ValueError(f"timestamp {text!r} is not a string")
+    return datetime.fromisoformat(text.replace("Z", "+00:00"))
 
 
 @dataclass(frozen=True)
 class CveRecord:
     """One vulnerability as ingested from the NVD API (or a fixture).
 
-    ``official_score`` and ``vector_string`` are absent for records NVD has
-    not scored under CVSS v3.1; such records are retained for raw counts but
-    skipped by scoring and analytics.
+    Each field is checked by exact type; an ``int`` official score is stored
+    as ``float`` and ``published`` in UTC. ``official_score`` and
+    ``vector_string`` are absent for records NVD has not scored under CVSS
+    v3.1; such records are retained for raw counts but skipped by scoring
+    and analytics.
     """
 
     cve_id: str
@@ -26,20 +40,23 @@ class CveRecord:
     affected_os: str | None = None
 
     def __post_init__(self) -> None:
-        if not CVE_ID_PATTERN.match(self.cve_id):
-            raise ValueError(f"malformed CVE id: {self.cve_id!r}")
-        if self.vector_string is not None and not isinstance(self.vector_string, str):
-            raise ValueError(f"{self.cve_id}: vector string {self.vector_string!r} is not a string")
-        if isinstance(self.official_score, bool):
-            raise ValueError(f"{self.cve_id}: official score {self.official_score} is not a number")
-        if self.official_score is not None and not 0.0 <= self.official_score <= 10.0:
-            raise ValueError(
-                f"{self.cve_id}: official score {self.official_score} outside [0, 10]"
-            )
-        if self.published.tzinfo is None:
-            object.__setattr__(self, "published", self.published.replace(tzinfo=timezone.utc))
-        else:
-            object.__setattr__(self, "published", self.published.astimezone(timezone.utc))
+        if type(cve_id := self.cve_id) is not str or not CVE_ID_PATTERN.fullmatch(cve_id):
+            raise ValueError(f"malformed CVE id: {cve_id!r}")
+        if type(self.description) is not str:
+            raise ValueError(f"{cve_id}: description {self.description!r} is not a string")
+        for name, value in ("vector string", self.vector_string), ("affected os", self.affected_os):
+            if value is not None and type(value) is not str:
+                raise ValueError(f"{cve_id}: {name} {value!r} is not a string")
+        if (score := self.official_score) is not None:
+            if type(score) is int:
+                object.__setattr__(self, "official_score", float(score))
+            elif type(score) is not float:
+                raise ValueError(f"{cve_id}: official score {score!r} is not a number")
+            if not 0.0 <= score <= 10.0:
+                raise ValueError(f"{cve_id}: official score {score} outside [0, 10]")
+        if type(self.published) is not datetime:
+            raise ValueError(f"{cve_id}: published {self.published!r} is not a datetime")
+        object.__setattr__(self, "published", as_utc(self.published))
 
     def to_dict(self) -> dict:
         return {
@@ -53,14 +70,11 @@ class CveRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> CveRecord:
-        published = datetime.fromisoformat(str(data["published"]).replace("Z", "+00:00"))
-        score = data.get("official_score")
         return cls(
             cve_id=data["cve_id"],
             description=data["description"],
-            published=published,
-            # a bool passes through, for __post_init__ to reject
-            official_score=score if score is None or isinstance(score, bool) else float(score),
+            published=parse_timestamp(data["published"]),
+            official_score=data.get("official_score"),
             vector_string=data.get("vector_string"),
             affected_os=data.get("affected_os"),
         )

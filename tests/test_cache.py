@@ -250,8 +250,11 @@ def cache_with_field(tmp_path, field, value):
 @pytest.mark.parametrize(
     "field, value",
     [("vector_string", 5), ("vector_string", ["CVSS:3.1"]), ("vector_string", {"AV": "N"}),
-     ("official_score", True), ("official_score", False)],
-    ids=["vector-number", "vector-list", "vector-object", "score-true", "score-false"],
+     ("official_score", True), ("official_score", False), ("official_score", "7.5"),
+     ("cve_id", "CVE-2024-10002\n"), ("description", 5), ("affected_os", ["x"]),
+     ("published", 20240101)],
+    ids=["vector-number", "vector-list", "vector-object", "score-true", "score-false",
+         "score-string", "id-newline", "description-number", "os-list", "published-number"],
 )
 def test_wrongly_typed_field_is_a_corrupt_line(tmp_path, caplog, field, value):
     path = cache_with_field(tmp_path, field, value)

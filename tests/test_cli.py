@@ -3,20 +3,26 @@ contracts for the usual failure modes."""
 
 import errno
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import cverisk
 import cverisk.cli as cli_module
 from cverisk import __version__
 from cverisk.cache import read_cache, write_cache
 from cverisk.cli import main
 from cverisk.model import ScoringError, score_record
-from cverisk.nvd import NetworkError
+from cverisk.nvd import NetworkError, RateLimiter, fetch_window
 
 from conftest import SAMPLE_CACHE, make_record
+from test_nvd import FakeResponse, FakeSession, api_item, page_payload
 
 
 @pytest.fixture()
@@ -35,6 +41,13 @@ def test_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert __version__ in result.output
+
+
+def test_importing_the_cli_does_not_import_requests():
+    # A fresh interpreter, because this one has imported requests already.
+    code = "import sys, cverisk.cli; sys.exit('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cverisk.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_full_offline_flow(runner, cache_copy, tmp_path):
@@ -182,11 +195,26 @@ def test_lenient_mode_rides_over_corrupt_lines(runner, cache_copy, tmp_path):
 @pytest.mark.parametrize(
     "command", [["score"], ["analyze"], ["calibrate", "--n-cal", "100"]], ids=lambda c: c[0]
 )
-@pytest.mark.parametrize("value", [5, ["CVSS:3.1"]], ids=["number", "list"])
-def test_non_string_vector_is_a_corrupt_cache_line(runner, cache_copy, tmp_path, command, value):
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("vector_string", 5),
+        ("vector_string", ["CVSS:3.1"]),
+        ("official_score", "7.5"),
+        ("cve_id", "CVE-2024-10004\n"),
+        ("description", 5),
+        ("affected_os", ["x"]),
+        ("published", 20240101),
+    ],
+    ids=["number", "list", "score-string", "id-newline", "description-number", "os-list",
+         "published-number"],
+)
+def test_non_string_vector_is_a_corrupt_cache_line(
+    runner, cache_copy, tmp_path, command, field, value
+):
     lines = cache_copy.read_text(encoding="utf-8").splitlines(keepends=True)
     data = json.loads(lines[5])
-    data["vector_string"] = value
+    data[field] = value
     lines[5] = json.dumps(data, sort_keys=True) + "\n"
     cache_copy.write_text("".join(lines), encoding="utf-8")
     args = [*command, "--cache", str(cache_copy)]
@@ -195,6 +223,41 @@ def test_non_string_vector_is_a_corrupt_cache_line(runner, cache_copy, tmp_path,
     assert "line 6" in strict.output
     lenient = runner.invoke(main, [*args, "--lenient", "--out", str(tmp_path / "lenient")])
     assert lenient.exit_code == 0, lenient.output
+
+
+def test_a_vector_that_does_not_parse_is_skipped_in_both_modes(runner, cache_copy, tmp_path):
+    """Strict mode aborts on a malformed cache line, not on a bad vector;
+    only --lenient also accepts the CVSS:3.0 prefix."""
+    lines = cache_copy.read_text(encoding="utf-8").splitlines(keepends=True)
+    vectors = {
+        5: "CVSS:3.1/AV:X/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H",  # CVE-2024-10004
+        6: "CVSS:3.0/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H",  # CVE-2024-10005
+    }
+    for index, vector in vectors.items():
+        data = json.loads(lines[index])
+        data["vector_string"] = vector
+        lines[index] = json.dumps(data, sort_keys=True) + "\n"
+    cache_copy.write_text("".join(lines), encoding="utf-8")
+
+    def skips(out_dir):
+        rows = (out_dir / "skip_report.csv").read_text(encoding="utf-8").splitlines()
+        return {row.split(",", 1)[0]: row.split(",", 1)[1] for row in rows[1:]}
+
+    args = ["--cache", str(cache_copy)]
+    strict = runner.invoke(main, ["score", *args, "--out", str(tmp_path / "strict")])
+    assert strict.exit_code == 0, strict.output
+    assert "scored 191 records (9 skipped)" in strict.output
+    reasons = skips(tmp_path / "strict")
+    assert reasons["CVE-2024-10004"] == "metric AV has no value 'X'"
+    assert "CVSS:3.0" in reasons["CVE-2024-10005"]
+    lenient = runner.invoke(main, ["score", *args, "--lenient", "--out", str(tmp_path / "lenient")])
+    assert lenient.exit_code == 0, lenient.output
+    assert "scored 192 records (8 skipped)" in lenient.output
+    reasons = skips(tmp_path / "lenient")
+    assert "CVE-2024-10004" in reasons and "CVE-2024-10005" not in reasons
+    analyze = runner.invoke(main, ["analyze", *args, "--out", str(tmp_path / "bundle")])
+    assert analyze.exit_code == 0, analyze.output
+    assert set(skips(tmp_path / "bundle")) >= {"CVE-2024-10004", "CVE-2024-10005"}
 
 
 def _append_bad_byte(path, line_index):
@@ -544,6 +607,26 @@ def test_ingest_network_failure_exit_code(runner, tmp_path, monkeypatch):
     )
     assert result.exit_code == 4
     assert "HTTP 503" in result.output
+
+
+@pytest.mark.parametrize(
+    "field, value", [("id", "CVE-24-1"), ("published", "yesterday")], ids=["id", "published"]
+)
+def test_ingest_api_item_that_breaks_the_record_contract(runner, tmp_path, monkeypatch, field, value):
+    item = api_item("CVE-2024-0001")
+    item["cve"][field] = value
+    session = FakeSession([FakeResponse(payload=page_payload([item], 1))])
+    monkeypatch.setattr(
+        cli_module,
+        "fetch_window",
+        lambda w: fetch_window(w, session=session, rate_limiter=RateLimiter(100, 30.0)),
+    )
+    out = tmp_path / "c.jsonl"
+    result = runner.invoke(main, ["ingest", "--window", "2024-01-01..2024-01-15", "--out-cache", str(out)])
+    assert result.exit_code == 4, result.output
+    assert result.output.count("error:") == 1
+    assert repr(item["cve"]["id"]) in result.output and value in result.output
+    assert not out.exists()
 
 
 def test_ingest_rejects_oversized_window(runner, tmp_path):

@@ -13,6 +13,7 @@ from cverisk.nvd import (
     IngestWindow,
     MissingIdError,
     NetworkError,
+    NvdError,
     NvdClient,
     RateLimiter,
     WindowTooLargeError,
@@ -395,6 +396,17 @@ def test_extract_missing_id_or_published():
         extract_record({"cve": {"published": "2024-01-01T00:00:00.000"}})
     with pytest.raises(ApiSchemaChangeError):
         extract_record({"cve": {"id": "CVE-2024-0001"}})
+
+
+@pytest.mark.parametrize(
+    "field, value", [("id", "CVE-24-1"), ("published", "yesterday")], ids=["id", "published"]
+)
+def test_item_that_breaks_the_record_contract_is_an_nvd_error(field, value):
+    item = api_item("CVE-2024-0001")
+    item["cve"][field] = value
+    session = FakeSession([FakeResponse(payload=page_payload([item], 1))])
+    with pytest.raises(NvdError, match=f"API item '{item['cve']['id']}': .*{value}"):
+        make_client(session).fetch_window(WINDOW)
 
 
 # --- module-level convenience ----------------------------------------------

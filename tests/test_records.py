@@ -1,0 +1,69 @@
+"""The record contract: exact field types in CveRecord, and one UTC rule
+shared by the cache, the API client and the library."""
+
+import json
+import time
+from datetime import datetime
+
+import pytest
+
+from cverisk.cache import read_header, write_cache
+from cverisk.nvd import extract_record
+from cverisk.records import CveRecord
+
+from conftest import make_record
+
+STAMP_UTC = "2024-01-03T10:00:00+00:00"
+
+
+@pytest.mark.parametrize(
+    "stamp",
+    ["2024-01-03T10:00:00Z", "2024-01-03T10:00:00", "2024-01-03T12:00:00+02:00"],
+    ids=["z", "naive", "plus-two"],
+)
+def test_cache_and_api_read_a_timestamp_as_the_same_utc_time(stamp):
+    from_cache = CveRecord.from_dict({**make_record().to_dict(), "published": stamp})
+    from_api = extract_record({"id": "CVE-2024-12345", "published": stamp})
+    assert from_cache.published.isoformat() == from_api.published.isoformat() == STAMP_UTC
+    aware = datetime.fromisoformat(stamp.replace("Z", "+00:00"))
+    assert make_record(published=aware).published.isoformat() == STAMP_UTC
+
+
+def test_a_naive_time_means_utc_whatever_the_local_zone(tmp_path, monkeypatch):
+    naive = datetime(2024, 1, 20, 12, 0)
+    monkeypatch.setenv("TZ", "America/New_York")
+    time.tzset()
+    try:
+        assert time.timezone != 0  # the zone took effect
+        path = write_cache([make_record()], tmp_path / "c.jsonl", retrieved_at=naive)
+        record = make_record(published=naive)
+    finally:
+        monkeypatch.undo()
+        time.tzset()
+    assert read_header(path)["retrieved_at"] == "2024-01-20T12:00:00+00:00"
+    assert record.published.isoformat() == "2024-01-20T12:00:00+00:00"
+
+
+def test_an_integer_official_score_is_stored_as_float():
+    record = make_record(official=7)
+    assert type(record.official_score) is float
+    assert json.dumps(record.to_dict()["official_score"]) == "7.0"
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"cve_id": "CVE-2024-12345\n"}, "malformed CVE id"),
+        ({"cve_id": 12345}, "malformed CVE id"),
+        ({"description": 5}, "description 5 is not a string"),
+        ({"affected_os": ["x"]}, "affected os"),
+        ({"official": "7.5"}, "official score '7.5' is not a number"),
+        ({"official": 10.5}, r"outside \[0, 10\]"),
+        ({"published": "2024-01-03"}, "is not a datetime"),
+    ],
+    ids=["id-newline", "id-int", "description", "os", "score-string", "score-range",
+         "published-string"],
+)
+def test_record_checks_every_field_by_exact_type(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        make_record(**kwargs)
