@@ -208,10 +208,9 @@ def score(cache_path: str, config_path: str | None, baseline: str | None, out_di
     if not scored:
         _fail(EXIT_DATA, "no record in the cache could be scored")
     out = Path(out_dir)
-    rows = score_rows(scored)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "scores.csv", SCORE_HEADER, rows)
+        write_csv(out / "scores.csv", SCORE_HEADER, score_rows(scored))
         write_csv(
             out / "skip_report.csv",
             ("cve_id", "reason"),

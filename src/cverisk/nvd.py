@@ -42,8 +42,8 @@ class NetworkError(NvdError):
 
 
 class ApiSchemaChangeError(NvdError):
-    def __init__(self, fieldpath: str) -> None:
-        super().__init__(f"response missing expected field {fieldpath!r}")
+    def __init__(self, fieldpath: str, problem: str = "missing expected field") -> None:
+        super().__init__(f"response {problem} {fieldpath!r}")
         self.fieldpath = fieldpath
 
 
@@ -214,6 +214,7 @@ def extract_record(item: dict) -> CveRecord:
     absent. The English description is preferred, falling back to the first
     available language.
     """
+    item = _object(item, "vulnerabilities[]")
     cve = item.get("cve", item) if isinstance(item.get("cve"), dict) else item
     cve_id = cve.get("id")
     if not cve_id:
@@ -221,21 +222,40 @@ def extract_record(item: dict) -> CveRecord:
     published = cve.get("published")
     if not published:
         raise ApiSchemaChangeError("cve.published")
-    score, vector = _pick_v31_metric(cve.get("metrics") or {})
+    score, vector = _pick_v31_metric(_object(cve.get("metrics"), "cve.metrics"))
+    descriptions = _objects(cve.get("descriptions"), "cve.descriptions[]")
     try:
         return CveRecord(
             cve_id=cve_id,
-            description=_pick_description(cve_id, cve.get("descriptions") or []),
+            description=_pick_description(cve_id, descriptions),
             published=parse_timestamp(published),
             official_score=score,
             vector_string=vector,
-            affected_os=_affected_os(cve.get("configurations") or []),
+            affected_os=_affected_os(_objects(cve.get("configurations"), "cve.configurations[]")),
         )
     except ValueError as exc:
         raise NvdError(f"API item {cve_id!r}: {exc}") from exc
 
 
-def _pick_description(cve_id: str, descriptions: list) -> str:
+def _object(value, fieldpath: str) -> dict:
+    """``value`` if it is a JSON object; absent or empty reads as ``{}``."""
+    if not value:
+        return {}
+    if not isinstance(value, dict):
+        raise ApiSchemaChangeError(fieldpath, "has a non-object at")
+    return value
+
+
+def _objects(value, fieldpath: str) -> list[dict]:
+    """``value`` if it is a JSON array of objects; absent or empty reads as ``[]``."""
+    if not value:
+        return []
+    if not isinstance(value, list) or not all(isinstance(entry, dict) for entry in value):
+        raise ApiSchemaChangeError(fieldpath, "has a non-object at")
+    return value
+
+
+def _pick_description(cve_id: str, descriptions: list[dict]) -> str:
     for entry in descriptions:
         if entry.get("lang") == "en":
             return entry.get("value", "")
@@ -247,12 +267,12 @@ def _pick_description(cve_id: str, descriptions: list) -> str:
 
 
 def _pick_v31_metric(metrics: dict) -> tuple[float | None, str | None]:
-    entries = metrics.get("cvssMetricV31") or []
+    entries = _objects(metrics.get("cvssMetricV31"), "cve.metrics.cvssMetricV31[]")
     for wanted in ("Primary", "Secondary", None):
         for entry in entries:
             if wanted is not None and entry.get("type") != wanted:
                 continue
-            data = entry.get("cvssData") or {}
+            data = _object(entry.get("cvssData"), "cvssMetricV31[].cvssData")
             score = data.get("baseScore")
             vector = data.get("vectorString")
             if score is not None and vector:
@@ -260,12 +280,12 @@ def _pick_v31_metric(metrics: dict) -> tuple[float | None, str | None]:
     return None, None
 
 
-def _affected_os(configurations: list) -> str | None:
+def _affected_os(configurations: list[dict]) -> str | None:
     """Operating-system names from CPE criteria with part 'o', if any."""
     names: list[str] = []
     for config in configurations:
-        for node in config.get("nodes") or []:
-            for match in node.get("cpeMatch") or []:
+        for node in _objects(config.get("nodes"), "configurations[].nodes[]"):
+            for match in _objects(node.get("cpeMatch"), "nodes[].cpeMatch[]"):
                 parts = str(match.get("criteria", "")).split(":")
                 if len(parts) > 4 and parts[2] == "o":
                     name = f"{parts[3]} {parts[4]}"

@@ -4,10 +4,12 @@ report, executive text) and deterministic file emission."""
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import json
 import math
 from collections import Counter
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
@@ -43,7 +45,25 @@ HIGH_RISK_THRESHOLD = 7.0
 SCORE_HEADER = ("cve_id", "official_score", "base_risk", "impact_score", "composite_score", "severity")
 SUMMARY_SCHEMA_PATH = Path(__file__).parent / "schemas" / "summary.schema.json"
 
-Table = tuple[tuple[str, ...], list[tuple]]
+
+@dataclass(frozen=True)
+class CsvLines:
+    """A per-record table already rendered as CSV lines, each ending in a
+    newline. ``render()`` yields the lines afresh on every pass, so the
+    table streams into each file it is written to; ``len()`` is its row
+    count."""
+
+    count: int
+    render: Callable[[], Iterator[str]]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[str]:
+        return self.render()
+
+
+Table = tuple[tuple[str, ...], list[tuple] | CsvLines]
 
 
 class EmptyDatasetError(ValueError):
@@ -139,14 +159,28 @@ def _safe_spearman(pred, truth):
         return math.nan
 
 
-def score_rows(scored: ScoredBatch) -> list[tuple]:
-    """One ``SCORE_HEADER`` row per scored record; a missing official score
-    is a blank cell. Records with one vector code share its score cells."""
-    cells = [(rb, impact, sv, severity.label) for _, _, rb, impact, sv, severity in scored.table]
-    return [
-        (r.cve_id, "" if r.official_score is None else r.official_score, *cells[row])
-        for r, row in zip(scored.records, scored.rows.tolist())
+def score_rows(scored: ScoredBatch) -> CsvLines:
+    """One ``SCORE_HEADER`` line per scored record; a missing official score
+    is a blank cell. The score cells are rendered once per vector code, with
+    ``repr()`` as ``csv.writer`` renders a float. No cell needs quoting:
+    ``CveRecord`` ids match ``CVE-\\d{4}-\\d{4,}`` and severity labels are
+    single words."""
+    cells = [
+        f"{rb!r},{impact!r},{sv!r},{severity.label}\n"
+        for _, _, rb, impact, sv, severity in scored.table
     ]
+
+    def render() -> Iterator[str]:
+        for r, row in zip(scored.records, scored.rows.tolist()):
+            official = "" if r.official_score is None else repr(r.official_score)
+            yield f"{r.cve_id},{official},{cells[row]}"
+
+    return CsvLines(len(scored), render)
+
+
+def _keyed_lines(ids: list[str], keys: list[int], cells: list[str]) -> CsvLines:
+    """One ``id,cells[key]`` line per id, from cells rendered once per key."""
+    return CsvLines(len(ids), lambda: (f"{cid},{cells[k]}" for cid, k in zip(ids, keys)))
 
 
 def _method_comparison(scored: ScoredBatch, config: ModelConfig) -> list[tuple]:
@@ -389,19 +423,20 @@ def build_bundle(
         patterns = active @ (1 << np.arange(active.shape[1]))
         _, first, inverse = np.unique(patterns, return_index=True, return_inverse=True)
         per_pattern = np.array([joint_risk_index(fm.rows[k], corr, jr_cfg) for k in first])
-        indices = per_pattern[inverse].tolist()
-        order = sorted(zip(ids, indices), key=lambda kv: (-kv[1], kv[0]))
+        indices = per_pattern[inverse]
+        top = heapq.nsmallest(10, zip(ids, indices.tolist()), key=lambda kv: (-kv[1], kv[0]))
         summary["joint_risk"] = {
             "defined": True,
-            "mean": float(np.mean(indices)),
-            "max": float(np.max(indices)),
-            "top": [{"cve_id": cid, "index": val} for cid, val in order[:10]],
+            "mean": float(indices.mean()),
+            "max": float(indices.max()),
+            "top": [{"cve_id": cid, "index": val} for cid, val in top],
         }
-        jr_rows = list(zip(ids, indices))
+        cells = [f"{value!r}\n" for value in per_pattern.tolist()]
+        keys = inverse.tolist()
     else:
         summary["joint_risk"] = {"defined": False, "mean": math.nan, "max": math.nan, "top": []}
-        jr_rows = [(cid, "") for cid in ids]
-    tables["joint_risk"] = (("cve_id", "joint_risk_index"), jr_rows)
+        cells, keys = ["\n"], [0] * n  # a blank index cell for every record
+    tables["joint_risk"] = (("cve_id", "joint_risk_index"), _keyed_lines(ids, keys, cells))
 
     # ---- model scores and agreement -----------------------------------------
     tables["model_scores"] = (SCORE_HEADER, score_rows(scored))
@@ -517,17 +552,24 @@ def render_executive_summary(summary: dict) -> str:
 
 
 def write_csv(path: Path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV lines ending in a newline:
+    ``CsvLines`` as rendered, any other rows through ``csv.writer``."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        if isinstance(rows, CsvLines):
+            fh.writelines(rows)
+        else:
+            writer.writerows(rows)
 
 
 def check_bundle(out_dir, summary: dict) -> None:
     """Raise ``BundleError`` unless every table the summary lists, and the
     skip report, is a CSV file that ends with a newline and whose rows are
     as wide as its header, with one row per analyzed (or skipped) record
-    where the table has one and one per histogram bin of the summary."""
+    where the table has one and one per histogram bin of the summary. The
+    per-record tables must list their ids in strictly increasing order, and
+    the histogram counts must sum to the records analyzed."""
     out = Path(out_dir)
     names = [*summary["tables"], "skip_report"]
     missing = [name for name in names if not (out / f"{name}.csv").exists()]
@@ -557,6 +599,31 @@ def check_bundle(out_dir, summary: dict) -> None:
             raise BundleError(
                 f"{name}.csv has {len(rows)} rows, the summary says {row_counts[name]}"
             )
+        if name in ("model_scores", "joint_risk"):
+            ids = _csv_column(name, header, rows, "cve_id")
+            for line, (before, cve_id) in enumerate(zip(ids, ids[1:]), start=3):
+                if cve_id <= before:
+                    raise BundleError(
+                        f"{name}.csv row {line} id {cve_id!r} does not follow {before!r}: "
+                        "ids are not strictly increasing"
+                    )
+        if name == "severity_histogram":
+            try:
+                total = sum(int(count) for count in _csv_column(name, header, rows, "count"))
+            except ValueError as exc:
+                raise BundleError(f"{name}.csv has a count that is not an integer: {exc}") from None
+            if total != dataset["records_analyzed"]:
+                raise BundleError(
+                    f"{name}.csv counts sum to {total}, "
+                    f"the summary says {dataset['records_analyzed']} records were analyzed"
+                )
+
+
+def _csv_column(name: str, header: list[str], rows: list[list[str]], column: str) -> list[str]:
+    if column not in header:
+        raise BundleError(f"{name}.csv has no {column!r} column")
+    k = header.index(column)
+    return [row[k] for row in rows]
 
 
 def write_bundle(bundle: ReportBundle, out_dir, fmt: str = "all") -> list[Path]:

@@ -499,14 +499,22 @@ def test_kde_integrates_to_one():
 
 
 def test_kde_blocks_match_one_shot_sum():
-    # 5,000 scores put 209 grid rows in a block: three blocks for 512 rows
+    # 5,000 distinct unrounded scores put 209 grid rows in a block, so three
+    # blocks cover 512 rows; repeats give the distinct values counts 1 to 3.
     rng = random.Random(41)
-    scores = np.array([round(rng.uniform(0, 10), 1) for _ in range(5000)])
+    distinct = [rng.uniform(0, 10) for _ in range(5000)]
+    scores = np.array(distinct + distinct[:2000] + distinct[:500])
     est = kernel_density(scores)
     h = est.bandwidth
+    norm = scores.size * h * math.sqrt(2.0 * math.pi)
     z = (est.grid[:, None] - scores[None, :]) / h
-    one_shot = np.exp(-0.5 * z * z).sum(axis=1) / (scores.size * h * math.sqrt(2.0 * math.pi))
-    assert np.array_equal(est.density, one_shot)
+    per_score = np.exp(-0.5 * z * z).sum(axis=1) / norm
+    np.testing.assert_allclose(est.density, per_score, rtol=1e-12, atol=0.0)
+    values, counts = np.unique(scores, return_counts=True)
+    assert set(counts.tolist()) == {1, 2, 3}
+    z = (est.grid[:, None] - values[None, :]) / h
+    weighted = (np.exp(-0.5 * z * z) * counts).sum(axis=1) / norm
+    assert np.array_equal(est.density, weighted)
 
 
 def test_kde_needs_two_points():

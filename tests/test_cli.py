@@ -508,6 +508,25 @@ def _drop_a_cell(text):
     return "".join(lines)
 
 
+def _swap_two_rows(text):
+    lines = text.splitlines(keepends=True)
+    lines[1], lines[2] = lines[2], lines[1]
+    return "".join(lines)
+
+
+def _repeat_an_id(text):
+    lines = text.splitlines(keepends=True)
+    lines[2] = lines[1].split(",", 1)[0] + "," + lines[2].split(",", 1)[1]
+    return "".join(lines)
+
+
+def _add_one_to_a_count(text):
+    lines = text.splitlines(keepends=True)
+    label, count, share = lines[1].rsplit(",", 2)
+    lines[1] = f"{label},{int(count) + 1},{share}"
+    return "".join(lines)
+
+
 @pytest.mark.parametrize(
     ("table", "cut", "message"),
     [
@@ -519,10 +538,13 @@ def _drop_a_cell(text):
         ("correlation_matrix", _drop_a_cell, "row 2 has 9 cells, its header 10"),
         ("severity_mix", lambda text: "", "does not end with a newline"),
         ("severity_histogram", _drop_last_row, "the summary says"),
+        ("model_scores", _swap_two_rows, "ids are not strictly increasing"),
+        ("joint_risk", _repeat_an_id, "ids are not strictly increasing"),
+        ("severity_histogram", _add_one_to_a_count, "counts sum to 191"),
     ],
     ids=[
         "cut", "short", "joint-short", "skips-short", "ecdf-cut", "narrow-row", "empty",
-        "histogram-short",
+        "histogram-short", "unsorted-ids", "repeated-id", "histogram-sum",
     ],
 )
 def test_report_rejects_a_truncated_csv(runner, cache_copy, tmp_path, table, cut, message):
@@ -626,6 +648,23 @@ def test_ingest_api_item_that_breaks_the_record_contract(runner, tmp_path, monke
     assert result.exit_code == 4, result.output
     assert result.output.count("error:") == 1
     assert repr(item["cve"]["id"]) in result.output and value in result.output
+    assert not out.exists()
+
+
+def test_ingest_api_entry_that_is_not_an_object(runner, tmp_path, monkeypatch):
+    item = api_item("CVE-2024-0001")
+    item["cve"]["configurations"] = [{"nodes": ["x"]}]
+    session = FakeSession([FakeResponse(payload=page_payload([api_item("CVE-2024-0002"), item], 2))])
+    monkeypatch.setattr(
+        cli_module,
+        "fetch_window",
+        lambda w: fetch_window(w, session=session, rate_limiter=RateLimiter(100, 30.0)),
+    )
+    out = tmp_path / "c.jsonl"
+    result = runner.invoke(main, ["ingest", "--window", "2024-01-01..2024-01-15", "--out-cache", str(out)])
+    assert result.exit_code == 4, result.output
+    assert result.output.count("error:") == 1
+    assert "'configurations[].nodes[]'" in result.output
     assert not out.exists()
 
 

@@ -409,6 +409,44 @@ def test_item_that_breaks_the_record_contract_is_an_nvd_error(field, value):
         make_client(session).fetch_window(WINDOW)
 
 
+def _with_cve(field, value):
+    def edit(item):
+        item["cve"][field] = value
+        return item
+
+    return edit
+
+
+def _with_metrics(entry):
+    def edit(item):
+        item["cve"]["metrics"]["cvssMetricV31"] = [entry]
+        return item
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "fieldpath, edit",
+    [
+        ("vulnerabilities[]", lambda item: "CVE-2024-0001"),
+        ("cve.descriptions[]", _with_cve("descriptions", ["issue"])),
+        ("cve.metrics", _with_cve("metrics", [{"cvssMetricV31": []}])),
+        ("cve.metrics.cvssMetricV31[]", _with_metrics("CVSS:3.1/AV:N")),
+        ("cvssMetricV31[].cvssData", _with_metrics({"type": "Primary", "cvssData": [9.8]})),
+        ("cve.configurations[]", _with_cve("configurations", [None, {"nodes": []}])),
+        ("configurations[].nodes[]", _with_cve("configurations", [{"nodes": ["x"]}])),
+        ("nodes[].cpeMatch[]", _with_cve("configurations", [{"nodes": [{"cpeMatch": [5]}]}])),
+    ],
+    ids=["item", "description", "metrics", "metric", "cvss-data", "configuration", "node", "cpe-match"],
+)
+def test_non_object_api_entry_is_a_schema_error(fieldpath, edit):
+    item = edit(api_item("CVE-2024-0001"))
+    session = FakeSession([FakeResponse(payload=page_payload([item], 1))])
+    with pytest.raises(ApiSchemaChangeError, match="non-object") as err:
+        make_client(session).fetch_window(WINDOW)
+    assert err.value.fieldpath == fieldpath
+
+
 # --- module-level convenience ----------------------------------------------
 
 

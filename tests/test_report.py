@@ -1,5 +1,7 @@
 """Report bundle assembly, serialization determinism, and rendering."""
 
+import csv
+import io
 import json
 import math
 from dataclasses import replace
@@ -20,10 +22,12 @@ from cverisk.calibration import calibrate_kappa, uniform_weights
 from cverisk.model import ModelConfig, ModelWeights, composite_score, score_records
 from cverisk.report import (
     SUMMARY_SCHEMA_PATH,
+    CsvLines,
     EmptyDatasetError,
     UnscoreableAllError,
     build_bundle,
     render_executive_summary,
+    score_rows,
     write_bundle,
     write_csv,
 )
@@ -34,6 +38,29 @@ from conftest import make_record
 @pytest.fixture(scope="module")
 def bundle(sample_records):
     return build_bundle(sample_records, seed=7)
+
+
+def _typed(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def table_rows(bundle, name: str) -> tuple[tuple, list[tuple]]:
+    """One bundle table's header and rows. A per-record table holds rendered
+    lines; they are read back with ``csv.reader``, a number cell as a float
+    and any other cell (an id, a label, a blank) as its text."""
+    header, rows = bundle.tables[name]
+    if isinstance(rows, CsvLines):
+        rows = [tuple(_typed(cell) for cell in row) for row in csv.reader(rows)]
+    return header, rows
+
+
+def _csv_writer_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def test_dataset_accounting(bundle):
@@ -91,7 +118,8 @@ def test_expected_tables_present(bundle):
     }
     assert expected <= set(bundle.tables)
     assert set(bundle.summary["tables"]) == set(bundle.tables)
-    for name, (header, rows) in bundle.tables.items():
+    for name in bundle.tables:
+        header, rows = table_rows(bundle, name)
         assert header, name
         for row in rows:
             assert len(row) == len(header), name
@@ -108,7 +136,7 @@ def test_conditional_prob_tables_row_sums(bundle):
 
 
 def test_model_scores_table_is_sorted_and_complete(bundle):
-    header, rows = bundle.tables["model_scores"]
+    header, rows = table_rows(bundle, "model_scores")
     assert header == (
         "cve_id",
         "official_score",
@@ -118,12 +146,13 @@ def test_model_scores_table_is_sorted_and_complete(bundle):
         "severity",
     )
     ids = [row[0] for row in rows]
+    assert all(cve_id.startswith("CVE-") for cve_id in ids)
     assert ids == sorted(ids)
     assert len(rows) == 190
 
 
 def test_joint_risk_table_and_top_ten(bundle):
-    _, rows = bundle.tables["joint_risk"]
+    _, rows = table_rows(bundle, "joint_risk")
     assert len(rows) == 190
     indexed = {row[0]: row[1] for row in rows}
     top = bundle.summary["joint_risk"]["top"]
@@ -145,7 +174,44 @@ def test_joint_risk_column_equals_the_per_row_index(bundle, sample_records):
     expected = [
         (sr.record.cve_id, joint_risk_index(row, corr, cfg)) for sr, row in zip(scored, fm.rows)
     ]
-    assert bundle.tables["joint_risk"][1] == expected
+    assert table_rows(bundle, "joint_risk")[1] == expected
+
+
+def test_rendered_lines_match_csv_writer(sample_records):
+    """Per-record tables rendered once per code or pattern keep the bytes
+    ``csv.writer`` gives for the per-record tuples."""
+    edge = [
+        make_record(cve_id="CVE-2024-1234567", official=7),  # an int official renders 7.0
+        make_record(cve_id="CVE-2024-70001", official=None),  # a blank official cell
+    ]
+    records = [*sample_records, *edge]
+    batch, _ = score_records(records)
+
+    def old_score_rows(scored):
+        return [
+            (r.cve_id, "" if r.official_score is None else r.official_score, rb, impact, sv, sev.label)
+            for r, (_, _, rb, impact, sv, sev) in zip(scored.records, (scored.table[k] for k in scored.rows))
+        ]
+
+    lines = "".join(score_rows(batch))
+    assert lines == _csv_writer_text(old_score_rows(batch))
+    assert "\nCVE-2024-1234567,7.0," in lines and "\nCVE-2024-70001,," in lines
+
+    b = build_bundle(records)
+    scored = batch[np.argsort([r.cve_id for r in batch.records], kind="stable")]
+    scored = scored[np.array([r.official_score is not None for r in scored.records])]
+    assert "".join(b.tables["model_scores"][1]) == _csv_writer_text(old_score_rows(scored))
+    fm = FactorMatrix.from_scored(scored)
+    corr = correlation_matrix(fm)
+    cfg = JointRiskConfig.from_data(corr, fm)
+    old_joint = [(r.cve_id, joint_risk_index(row, corr, cfg)) for r, row in zip(scored.records, fm.rows)]
+    assert "".join(b.tables["joint_risk"][1]) == _csv_writer_text(old_joint)
+
+    # One record has no correlations, so its index cell is blank.
+    single = build_bundle([make_record()])
+    assert single.summary["joint_risk"]["defined"] is False
+    assert "".join(single.tables["joint_risk"][1]) == _csv_writer_text([("CVE-2024-12345", "")])
+    assert "".join(single.tables["joint_risk"][1]) == "CVE-2024-12345,\n"
 
 
 def test_exclusions_are_honored(sample_records):
@@ -153,7 +219,8 @@ def test_exclusions_are_honored(sample_records):
     b = build_bundle(sample_records, exclude_ids=frozenset(drop))
     assert b.summary["dataset"]["records_excluded"] == 2
     assert b.summary["dataset"]["records_in_cache"] == 200
-    _, rows = b.tables["model_scores"]
+    _, rows = table_rows(b, "model_scores")
+    assert len(rows) == 188
     assert drop.isdisjoint({row[0] for row in rows})
     assert drop.isdisjoint({row[0] for row in b.skip_report})
 
