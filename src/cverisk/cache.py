@@ -12,8 +12,10 @@ import json
 import logging
 from collections.abc import Iterable
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
+from .config import write_atomic
 from .records import CveRecord, as_utc
 
 logger = logging.getLogger(__name__)
@@ -61,17 +63,14 @@ def write_cache(
         seen.add(record.cve_id)
     if retrieved_at is None:
         retrieved_at = datetime.now(timezone.utc)
-    path = Path(path)
     header = {
         "schema": SCHEMA_VERSION,
         "retrieved_at": as_utc(retrieved_at).isoformat(),
         "count": len(records),
     }
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n")
-        for record in records:
-            fh.write(json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False) + "\n")
-    return path
+    objects = chain([header], map(CveRecord.to_dict, records))
+    lines = (json.dumps(o, sort_keys=True, ensure_ascii=False) + "\n" for o in objects)
+    return write_atomic(path, lines)
 
 
 def read_header(path) -> dict:
@@ -94,8 +93,9 @@ def read_cache(path, *, lenient: bool = False) -> list[CveRecord]:
 
     A corrupt or duplicate line aborts with its line number; under
     ``lenient`` it is skipped with a warning instead. So does a header
-    ``count`` that differs from the number of lines after the header, as
-    in a truncated file; per-line errors are reported first.
+    ``count`` that is not an ``int`` (``true`` and ``1.0`` are not) or
+    differs from the number of lines after the header, as in a truncated
+    file; per-line errors are reported first.
     """
     path = Path(path)
     expected = read_header(path).get("count")
@@ -121,7 +121,7 @@ def read_cache(path, *, lenient: bool = False) -> list[CveRecord]:
                 raise DuplicateIdError(record.cve_id, line_no)
             seen.add(record.cve_id)
             records.append(record)
-    if line_no - 1 != expected:
+    if type(expected) is not int or line_no - 1 != expected:
         reason = f"header count is {expected!r} but {line_no - 1} record lines follow"
         if not lenient:
             raise CacheFormatError(1, reason)

@@ -20,7 +20,7 @@ from .calibration import (
     calibrate_weights,
     uniform_weights,
 )
-from .config import ConfigError, load_config, save_config, write_text_atomic
+from .config import ConfigError, load_config, save_config, write_atomic
 from .model import ModelConfig, ScoredBatch, score_records
 from .nvd import IngestWindow, NvdError, WindowTooLargeError, fetch_window
 from .report import (
@@ -181,7 +181,7 @@ def calibrate(cache_path: str, out_dir: str, n_cal: int, seed: int, grid_step: f
         out.mkdir(parents=True, exist_ok=True)
         save_config(config, out / "model_config.txt")
         ids = "".join(f"{cve_id}\n" for cve_id in sorted(r.cve_id for r in sample.records))
-        write_text_atomic(out / "calibration_ids.txt", ids)
+        write_atomic(out / "calibration_ids.txt", [ids])
     except OSError as exc:
         _fail(EXIT_IO, f"cannot write to {out_dir}: {exc}")
     click.echo(
@@ -293,7 +293,7 @@ def report(bundle_dir: str):
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         _fail(EXIT_DATA, f"summary.json is malformed: {exc!r}")
     try:
-        (out / "executive_summary.txt").write_text(text, encoding="utf-8")
+        write_atomic(out / "executive_summary.txt", [text])
     except OSError as exc:
         _fail(EXIT_IO, f"cannot write executive summary: {exc}")
     click.echo(text, nl=False)

@@ -14,11 +14,13 @@ One ``key = value`` pair per line; ``#`` starts a comment. Keys:
 
 Unknown keys are rejected; omitted keys keep their defaults. ``save_config``
 writes values at full precision so a save/load round trip is exact.
+``write_atomic`` is the one writer of every output file of the package.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from pathlib import Path
 
 from .encoding import AttributeMaps
@@ -99,15 +101,16 @@ def load_config(path) -> ModelConfig:
     return config_from_dict(values)
 
 
-def write_text_atomic(path, text: str) -> Path:
-    """Write ``text`` to ``path`` through a temporary file in the same
-    directory and ``os.replace``: a failure midway leaves ``path`` as it was
-    and removes the temporary file, so no partial file is ever left."""
+def write_atomic(path, chunks: Iterable[str]) -> Path:
+    """Stream ``chunks`` as UTF-8, untranslated, to a temporary file in the
+    same directory, fsync it and ``os.replace`` it onto ``path``. A failure
+    midway, in the chunks or the write, leaves ``path`` as it was and
+    removes the temporary file, so no partial file is ever left."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            fh.write(text)
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -119,7 +122,6 @@ def write_text_atomic(path, text: str) -> Path:
 
 def save_config(config: ModelConfig, path) -> Path:
     """Write a config in the same format ``load_config`` reads, atomically."""
-    lines = ["# model constants; see cverisk.config for the key schema"]
-    for key, value in config_to_dict(config).items():
-        lines.append(f"{key} = {value!r}")
-    return write_text_atomic(path, "\n".join(lines) + "\n")
+    lines = ["# model constants; see cverisk.config for the key schema\n"]
+    lines += (f"{key} = {value!r}\n" for key, value in config_to_dict(config).items())
+    return write_atomic(path, lines)

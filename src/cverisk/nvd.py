@@ -141,15 +141,13 @@ class NvdClient:
         start_index = 0
         page = 0
         while True:
-            data = self._fetch_page(window, start_index, page)
+            data = _object(self._fetch_page(window, start_index, page), "response body")
             if "totalResults" not in data:
                 raise ApiSchemaChangeError("totalResults")
-            total = int(data["totalResults"])
-            vulns = data.get("vulnerabilities")
-            if vulns is None:
-                if total == 0:
-                    break
-                raise ApiSchemaChangeError("vulnerabilities")
+            total = data["totalResults"]
+            if type(total) is not int:
+                raise ApiSchemaChangeError("totalResults", "has a non-integer at")
+            vulns = _objects(data.get("vulnerabilities"), "vulnerabilities[]")
             for item in vulns:
                 records.append(extract_record(item))
             start_index += len(vulns)
@@ -161,7 +159,7 @@ class NvdClient:
         logger.info("fetched %d record(s) over %d page(s)", len(records), page)
         return records
 
-    def _fetch_page(self, window: IngestWindow, start_index: int, page: int) -> dict:
+    def _fetch_page(self, window: IngestWindow, start_index: int, page: int) -> object:
         import requests
 
         params = {

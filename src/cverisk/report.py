@@ -11,7 +11,9 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, astuple, dataclass
+from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .analytics import (
     spearman_rho,
 )
 from .calibration import DEFAULT_KAPPA_RANGE, fit_kappa, uniform_weights
-from .config import config_to_dict
+from .config import config_to_dict, write_atomic
 from .model import ModelConfig, ScoredBatch, _score_vector, composite_score, score_records
 from .records import CveRecord
 
@@ -554,13 +556,10 @@ def render_executive_summary(summary: dict) -> str:
 def write_csv(path: Path, header, rows) -> None:
     """Write ``header`` and ``rows`` as CSV lines ending in a newline:
     ``CsvLines`` as rendered, any other rows through ``csv.writer``."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        if isinstance(rows, CsvLines):
-            fh.writelines(rows)
-        else:
-            writer.writerows(rows)
+    # ``writerow`` returns what its file's ``write`` returns: ``str`` hands the line back.
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    lines = rows if isinstance(rows, CsvLines) else map(line, rows)
+    write_atomic(path, chain([line(header)], lines))
 
 
 def check_bundle(out_dir, summary: dict) -> None:
@@ -628,7 +627,8 @@ def _csv_column(name: str, header: list[str], rows: list[list[str]], column: str
 
 def write_bundle(bundle: ReportBundle, out_dir, fmt: str = "all") -> list[Path]:
     """Write summary.json, every CSV table, the skip report, and the
-    executive summary into ``out_dir``; returns the files written."""
+    executive summary into ``out_dir``, replacing each file whole, one
+    after the other; returns the files written."""
     if fmt not in ("all", "json", "csv", "text"):
         raise ValueError(f"unknown output format {fmt!r}")
     out = Path(out_dir)
@@ -636,10 +636,8 @@ def write_bundle(bundle: ReportBundle, out_dir, fmt: str = "all") -> list[Path]:
     written: list[Path] = []
     if fmt in ("all", "json"):
         path = out / "summary.json"
-        path.write_text(
-            json.dumps(bundle.summary, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+        text = json.dumps(bundle.summary, indent=2, sort_keys=True, ensure_ascii=False)
+        write_atomic(path, [text, "\n"])
         written.append(path)
     if fmt in ("all", "csv"):
         for name in sorted(bundle.tables):
@@ -652,6 +650,6 @@ def write_bundle(bundle: ReportBundle, out_dir, fmt: str = "all") -> list[Path]:
         written.append(path)
     if fmt in ("all", "text"):
         path = out / "executive_summary.txt"
-        path.write_text(render_executive_summary(bundle.summary), encoding="utf-8")
+        write_atomic(path, [render_executive_summary(bundle.summary)])
         written.append(path)
     return written

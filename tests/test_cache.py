@@ -1,5 +1,6 @@
 """Cache round trips, corruption handling, and byte stability."""
 
+import errno
 import json
 import logging
 from datetime import datetime, timezone
@@ -62,6 +63,20 @@ def test_write_rejects_duplicate_ids(tmp_path):
     with pytest.raises(DuplicateIdError) as err:
         write_cache(records, tmp_path / "dup.jsonl")
     assert err.value.cve_id == "CVE-2024-10001"
+
+
+def test_failed_rewrite_keeps_the_old_cache(tmp_path, monkeypatch):
+    path = write_cache(some_records(3), tmp_path / "c.jsonl", retrieved_at=FIXED_TS)
+    before = path.read_bytes()
+
+    def no_space(fd):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("os.fsync", no_space)  # fails after the temp file has its lines
+    with pytest.raises(OSError, match="No space left"):
+        write_cache(some_records(5), path, retrieved_at=FIXED_TS)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
 
 
 def test_read_rejects_corrupt_line_with_line_number(tmp_path):
@@ -147,19 +162,35 @@ def truncated_fixture(tmp_path, records=49):
     return path
 
 
+def miscounted_caches(tmp_path):
+    """``(path, count as the reason prints it, records that follow)``: the
+    truncated fixture, and one record under a header count that equals 1
+    but is not an ``int``."""
+    yield truncated_fixture(tmp_path), "200", 49
+    record = json.dumps(make_record().to_dict(), sort_keys=True)
+    for count in (True, 1.0):
+        header = json.dumps({"count": count, "schema": SCHEMA_VERSION})
+        path = tmp_path / f"count-{count}.jsonl"
+        path.write_text(f"{header}\n{record}\n", encoding="utf-8")
+        yield path, repr(count), 1
+
+
 def test_strict_read_rejects_header_count_mismatch(tmp_path):
-    with pytest.raises(CacheFormatError) as err:
-        read_cache(truncated_fixture(tmp_path))
-    assert err.value.line_no == 1
-    assert "200" in err.value.reason and "49" in err.value.reason
+    for path, count, follow in miscounted_caches(tmp_path):
+        with pytest.raises(CacheFormatError) as err:
+            read_cache(path)
+        assert err.value.line_no == 1
+        assert f"header count is {count} but {follow} record lines" in err.value.reason
 
 
 def test_lenient_read_warns_once_on_header_count_mismatch(tmp_path, caplog):
-    with caplog.at_level(logging.WARNING, logger="cverisk.cache"):
-        records = read_cache(truncated_fixture(tmp_path), lenient=True)
-    assert len(records) == 49
-    assert len(caplog.records) == 1
-    assert "count" in caplog.text
+    for path, count, follow in miscounted_caches(tmp_path):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cverisk.cache"):
+            records = read_cache(path, lenient=True)
+        assert len(records) == follow
+        assert len(caplog.records) == 1
+        assert f"header count is {count}" in caplog.text
 
 
 def test_read_rejects_record_missing_id(tmp_path):

@@ -2,6 +2,7 @@
 contracts for the usual failure modes."""
 
 import errno
+import itertools
 import json
 import os
 import random
@@ -20,6 +21,7 @@ from cverisk.cache import read_cache, write_cache
 from cverisk.cli import main
 from cverisk.model import ScoringError, score_record
 from cverisk.nvd import NetworkError, RateLimiter, fetch_window
+from cverisk.report import CsvLines, score_rows
 
 from conftest import SAMPLE_CACHE, make_record
 from test_nvd import FakeResponse, FakeSession, api_item, page_payload
@@ -409,22 +411,85 @@ def test_calibrate_off_grid_official_is_data_error(runner, tmp_path):
     assert "CVE-2024-00002: official score 7.25 is not on the 0.1 grid" in result.output
 
 
-def test_calibrate_write_failure_leaves_no_partial_file(runner, cache_copy, tmp_path, monkeypatch):
-    args = ["calibrate", "--cache", str(cache_copy), "--n-cal", "50", "--grid-step", "0.25"]
-    kept = tmp_path / "kept"
-    assert runner.invoke(main, [*args, "--seed", "1", "--out", str(kept)]).exit_code == 0
+# Per command: the arguments of a first run that fills the output directory,
+# and those of the run whose write fails.
+WRITE_RUNS = {
+    "calibrate": (
+        ["calibrate", "--n-cal", "50", "--grid-step", "0.25", "--seed", "1"],
+        ["calibrate", "--n-cal", "50", "--grid-step", "0.25", "--seed", "2"],
+    ),
+    "score": (["score"], ["score", "--baseline", "uniform"]),
+    "analyze": (["analyze", "--seed", "1"], ["analyze", "--seed", "2"]),
+    "report": (["analyze"], ["report"]),
+    "ingest": (["ingest"], ["ingest"]),
+}
+
+
+def _invoke_into(runner, words, cache, out):
+    """Run a command on ``cache`` with its output in the directory ``out``."""
+    name, *rest = words
+    if name == "ingest":
+        where = ["--window", "2024-01-01..2024-01-15", "--out-cache", str(out / "c.jsonl")]
+    elif name == "report":
+        where = ["--bundle", str(out)]
+    else:
+        where = ["--cache", str(cache), "--out", str(out)]
+    return runner.invoke(main, [name, *where, *rest])
+
+
+@pytest.mark.parametrize("command", list(WRITE_RUNS))
+def test_write_failure_leaves_no_partial_file(runner, cache_copy, tmp_path, monkeypatch, command):
+    page = page_payload([api_item("CVE-2024-0001")], 1)
+    monkeypatch.setattr(
+        cli_module,
+        "fetch_window",
+        lambda w: fetch_window(
+            w, session=FakeSession([FakeResponse(payload=page)]), rate_limiter=RateLimiter(100, 30.0)
+        ),
+    )
+    first, second = WRITE_RUNS[command]
+    kept, fresh = tmp_path / "kept", tmp_path / "fresh"
+    kept.mkdir()
+    fresh.mkdir()
+    assert _invoke_into(runner, first, cache_copy, kept).exit_code == 0
+    if command == "report":  # the rewrite would otherwise give the same bytes
+        (kept / "executive_summary.txt").write_text("old summary\n", encoding="utf-8")
     before = {p.name: p.read_bytes() for p in kept.iterdir()}
 
     def no_space(fd):
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr("os.fsync", no_space)  # fails after the temp file has its text
-    fresh = tmp_path / "fresh"
-    for out, files in ((fresh, {}), (kept, before)):
-        result = runner.invoke(main, [*args, "--seed", "2", "--out", str(out)])
-        assert result.exit_code == 5
+    # ``report`` re-renders a bundle, so it has no run into an empty directory.
+    cases = [(kept, before)] if command == "report" else [(fresh, {}), (kept, before)]
+    for out, files in cases:
+        result = _invoke_into(runner, second, cache_copy, out)
+        assert result.exit_code == 5, result.output
         assert "No space left on device" in result.output
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == files  # no temp file either
+
+
+def test_score_failure_midway_through_the_rows_keeps_the_old_scores(
+    runner, cache_copy, tmp_path, monkeypatch
+):
+    args = ["score", "--cache", str(cache_copy), "--out", str(tmp_path)]
+    assert runner.invoke(main, args).exit_code == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def three_rows_then_failure(scored):
+        lines = score_rows(scored)
+
+        def render():
+            yield from itertools.islice(lines, 3)
+            raise OSError(errno.EIO, "Input/output error")
+
+        return CsvLines(len(lines), render)
+
+    monkeypatch.setattr(cli_module, "score_rows", three_rows_then_failure)
+    result = runner.invoke(main, [*args, "--baseline", "uniform"])
+    assert result.exit_code == 5, result.output
+    assert "Input/output error" in result.output
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("step", ["nan", "inf"])
@@ -665,6 +730,21 @@ def test_ingest_api_entry_that_is_not_an_object(runner, tmp_path, monkeypatch):
     assert result.exit_code == 4, result.output
     assert result.output.count("error:") == 1
     assert "'configurations[].nodes[]'" in result.output
+    assert not out.exists()
+
+
+def test_ingest_page_of_the_wrong_shape(runner, tmp_path, monkeypatch):
+    session = FakeSession([FakeResponse(payload={"totalResults": "many"})])
+    monkeypatch.setattr(
+        cli_module,
+        "fetch_window",
+        lambda w: fetch_window(w, session=session, rate_limiter=RateLimiter(100, 30.0)),
+    )
+    out = tmp_path / "c.jsonl"
+    result = runner.invoke(main, ["ingest", "--window", "2024-01-01..2024-01-15", "--out-cache", str(out)])
+    assert result.exit_code == 4, result.output
+    assert result.output.count("error:") == 1
+    assert "non-integer at 'totalResults'" in result.output
     assert not out.exists()
 
 

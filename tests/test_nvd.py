@@ -148,6 +148,25 @@ def test_missing_total_results_is_schema_error():
     assert err.value.fieldpath == "totalResults"
 
 
+@pytest.mark.parametrize(
+    "body, fieldpath",
+    [
+        (["totalResults"], "response body"),
+        (7, "response body"),
+        ({"totalResults": "many"}, "totalResults"),
+        ({"totalResults": True, "vulnerabilities": []}, "totalResults"),
+        ({"totalResults": 1.0, "vulnerabilities": []}, "totalResults"),
+        ({"totalResults": 1, "vulnerabilities": 5}, "vulnerabilities[]"),
+    ],
+    ids=["array", "number", "total-string", "total-bool", "total-float", "vulnerabilities-number"],
+)
+def test_page_of_the_wrong_shape_is_a_schema_error(body, fieldpath):
+    session = FakeSession([FakeResponse(payload=body)])
+    with pytest.raises(ApiSchemaChangeError) as err:
+        make_client(session).fetch_window(WINDOW)
+    assert err.value.fieldpath == fieldpath
+
+
 # --- retry and backoff ------------------------------------------------------
 
 
