@@ -16,7 +16,7 @@ from itertools import chain
 from pathlib import Path
 
 from .config import write_atomic
-from .records import CveRecord, as_utc
+from .records import CveRecord, RecordColumns, as_utc, record_fields
 
 logger = logging.getLogger(__name__)
 
@@ -88,8 +88,8 @@ def read_header(path) -> dict:
     return header
 
 
-def read_cache(path, *, lenient: bool = False) -> list[CveRecord]:
-    """Load all records from a cache file.
+def read_cache(path, *, lenient: bool = False) -> RecordColumns:
+    """Load all records from a cache file, as columns.
 
     A corrupt or duplicate line aborts with its line number; under
     ``lenient`` it is skipped with a warning instead. So does a header
@@ -99,7 +99,7 @@ def read_cache(path, *, lenient: bool = False) -> list[CveRecord]:
     """
     path = Path(path)
     expected = read_header(path).get("count")
-    records: list[CveRecord] = []
+    ids, descriptions, published, officials, vectors, systems = columns = [], [], [], [], [], []
     seen: set[str] = set()
     # Binary lines split on LF only; each is decoded on its own, so a
     # non-UTF-8 line is one corrupt line.
@@ -108,25 +108,32 @@ def read_cache(path, *, lenient: bool = False) -> list[CveRecord]:
             if line_no == 1:
                 continue
             try:
-                record = CveRecord.from_dict(json.loads(line.decode("utf-8")))
+                cve_id, description, when, official, vector, system = record_fields(
+                    json.loads(line.decode("utf-8"))
+                )
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 if lenient:
                     logger.warning("skipping corrupt cache line %d: %s", line_no, exc)
                     continue
                 raise CacheFormatError(line_no, str(exc)) from exc
-            if record.cve_id in seen:
+            if cve_id in seen:
                 if lenient:
-                    logger.warning("skipping duplicate id %s at line %d", record.cve_id, line_no)
+                    logger.warning("skipping duplicate id %s at line %d", cve_id, line_no)
                     continue
-                raise DuplicateIdError(record.cve_id, line_no)
-            seen.add(record.cve_id)
-            records.append(record)
+                raise DuplicateIdError(cve_id, line_no)
+            seen.add(cve_id)
+            ids.append(cve_id)
+            descriptions.append(description)
+            published.append(when)
+            officials.append(official)
+            vectors.append(vector)
+            systems.append(system)
     if type(expected) is not int or line_no - 1 != expected:
         reason = f"header count is {expected!r} but {line_no - 1} record lines follow"
         if not lenient:
             raise CacheFormatError(1, reason)
         logger.warning("%s: %s", path, reason)
-    return records
+    return RecordColumns(*columns)
 
 
 def body_sha256(path) -> str:

@@ -12,7 +12,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .cache import CacheError, body_sha256, read_cache, read_header, write_cache
+from .cache import CacheError, DuplicateIdError, body_sha256, read_cache, read_header, write_cache
 from .calibration import (
     BadGridStepError,
     EmptyCalibrationSetError,
@@ -140,6 +140,8 @@ def ingest(window: str, out_cache: str, api_key_env: str, page_size: int):
         _fail(EXIT_NETWORK, str(exc))
     try:
         write_cache(records, out_cache)
+    except DuplicateIdError as exc:
+        _fail(EXIT_NETWORK, f"the NVD window lists {exc.cve_id} more than once; no cache written")
     except OSError as exc:
         _fail(EXIT_IO, f"cannot write cache {out_cache}: {exc}")
     click.echo(f"wrote {len(records)} records to {out_cache}")
@@ -147,8 +149,9 @@ def ingest(window: str, out_cache: str, api_key_env: str, page_size: int):
 
 def _calibration_sample(records, n_cal: int, seed: int, lenient: bool) -> ScoredBatch:
     scoreable, _ = score_records(records, lenient=lenient)
-    ids = {k: r.cve_id for k, r in enumerate(scoreable.records) if r.official_score is not None}
-    pool = sorted(ids, key=ids.get)  # positions of the usable records, in id order
+    columns = scoreable.records
+    pool = [k for k, official in enumerate(columns.officials) if official is not None]
+    pool.sort(key=columns.ids.__getitem__)  # positions of the usable records, in id order
     if len(pool) < n_cal:
         raise InsufficientRecordsError(
             f"need {n_cal} records with a vector and an official score, have {len(pool)}"
@@ -180,7 +183,7 @@ def calibrate(cache_path: str, out_dir: str, n_cal: int, seed: int, grid_step: f
     try:
         out.mkdir(parents=True, exist_ok=True)
         save_config(config, out / "model_config.txt")
-        ids = "".join(f"{cve_id}\n" for cve_id in sorted(r.cve_id for r in sample.records))
+        ids = "".join(f"{cve_id}\n" for cve_id in sorted(sample.records.ids))
         write_atomic(out / "calibration_ids.txt", [ids])
     except OSError as exc:
         _fail(EXIT_IO, f"cannot write to {out_dir}: {exc}")

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .encoding import ETA, FACTOR_NAMES, AttributeMaps, encode_factors
-from .records import CveRecord
+from .records import CveRecord, RecordColumns
 from .vector import CvssVector, VectorError, parse_vector
 
 #: Absolute slack absorbed when deciding whether a value already sits on the
@@ -106,23 +106,23 @@ class ScoredRecord:
     severity: Severity
 
 
-def official_scores(records: Sequence[CveRecord]) -> np.ndarray:
+def official_scores(records: Iterable[CveRecord]) -> np.ndarray:
     """The records' official scores; a record without one is an error."""
-    scores = [r.official_score for r in records]
-    if None in scores:
-        raise ValueError(f"{records[scores.index(None)].cve_id} has no official score")
-    return np.array(scores, dtype=float)
+    records = RecordColumns.of(records)
+    if None in records.officials:
+        raise ValueError(f"{records.ids[records.officials.index(None)]} has no official score")
+    return np.array(records.officials, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
 class ScoredBatch(Sequence):
-    """Scored records: one ``_score_vector`` tuple per distinct vector code
-    in ``table``, each record's row of it in ``rows``, and columns gathered
-    from the table on first use. ``batch[k]`` is a ``ScoredRecord``; a
-    slice, boolean mask or index array (or list) gives a sub-batch over the
-    same table and thresholds."""
+    """Scored records (as ``RecordColumns``): one ``_score_vector`` tuple
+    per distinct vector code in ``table``, each record's row of it in
+    ``rows``, and columns gathered from the table on first use. ``batch[k]``
+    is a ``ScoredRecord``; a slice, boolean mask or index array (or list)
+    gives a sub-batch over the same table and thresholds."""
 
-    records: Sequence[CveRecord]
+    records: RecordColumns
     table: Sequence[tuple]
     rows: np.ndarray
     thresholds: SeverityThresholds
@@ -133,8 +133,8 @@ class ScoredBatch(Sequence):
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             return ScoredRecord(self.records[key], *self.table[self.rows[key]])
-        index = np.arange(len(self))[key].tolist()
-        return replace(self, records=[self.records[k] for k in index], rows=self.rows[index])
+        index = np.arange(len(self))[key]
+        return replace(self, records=self.records[index], rows=self.rows[index])
 
     def _column(self, k: int, dtype=float) -> np.ndarray:
         return np.array([entry[k] for entry in self.table], dtype=dtype)[self.rows]
@@ -244,17 +244,18 @@ def score_records(
 
     Gives the same results as ``score_record`` per record, but parses each
     distinct vector string and scores each distinct vector code once, into
-    one row of the batch's table.
+    one row of the batch's table. Only skipped records are built as
+    ``CveRecord``s; the batch selects the kept ones' columns.
     """
     config = config or ModelConfig()
+    records = RecordColumns.of(records)
     by_string: dict[str, int | str] = {}  # table row, or why parsing failed
     by_code: dict[int, int] = {}
     table: list[tuple] = []
-    kept: list[CveRecord] = []
+    kept: list[int] = []
     rows: list[int] = []
     skipped: list[tuple[CveRecord, str]] = []
-    for record in records:
-        text = record.vector_string
+    for k, text in enumerate(records.vectors):
         row = by_string.get(text) if text else _NO_VECTOR
         if row is None:
             try:
@@ -267,8 +268,9 @@ def score_records(
                     table.append(_score_vector(vector, config))
             by_string[text] = row
         if isinstance(row, str):
-            skipped.append((record, row))
+            skipped.append((records[k], row))
         else:
-            kept.append(record)
+            kept.append(k)
             rows.append(row)
-    return ScoredBatch(kept, table, np.array(rows, dtype=np.intp), config.thresholds), skipped
+    batch = ScoredBatch(records[kept], table, np.array(rows, dtype=np.intp), config.thresholds)
+    return batch, skipped

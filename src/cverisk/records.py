@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+
+import numpy as np
 
 CVE_ID_PATTERN = re.compile(r"CVE-\d{4}-\d{4,}")
 
@@ -19,6 +22,38 @@ def parse_timestamp(text: str) -> datetime:
     if type(text) is not str:
         raise ValueError(f"timestamp {text!r} is not a string")
     return datetime.fromisoformat(text.replace("Z", "+00:00"))
+
+
+def check_fields(cve_id, description, published, official_score, vector_string, affected_os) -> tuple:
+    """The record contract, which ``CveRecord`` and the cache reader share:
+    the fields checked by exact type and returned in order, an ``int``
+    official score as ``float`` and ``published`` in UTC."""
+    if type(cve_id) is not str or not CVE_ID_PATTERN.fullmatch(cve_id):
+        raise ValueError(f"malformed CVE id: {cve_id!r}")
+    if type(description) is not str:
+        raise ValueError(f"{cve_id}: description {description!r} is not a string")
+    if vector_string is not None and type(vector_string) is not str:
+        raise ValueError(f"{cve_id}: vector string {vector_string!r} is not a string")
+    if affected_os is not None and type(affected_os) is not str:
+        raise ValueError(f"{cve_id}: affected os {affected_os!r} is not a string")
+    if (score := official_score) is not None:
+        if type(score) is int:
+            score = float(score)
+        elif type(score) is not float:
+            raise ValueError(f"{cve_id}: official score {score!r} is not a number")
+        if not 0.0 <= score <= 10.0:
+            raise ValueError(f"{cve_id}: official score {score} outside [0, 10]")
+    if type(published) is not datetime:
+        raise ValueError(f"{cve_id}: published {published!r} is not a datetime")
+    return cve_id, description, as_utc(published), score, vector_string, affected_os
+
+
+def record_fields(data: dict) -> tuple:
+    """A cache line's JSON object as checked ``CveRecord`` field values."""
+    return check_fields(
+        data["cve_id"], data["description"], parse_timestamp(data["published"]),
+        data.get("official_score"), data.get("vector_string"), data.get("affected_os"),
+    )
 
 
 @dataclass(frozen=True)
@@ -40,41 +75,50 @@ class CveRecord:
     affected_os: str | None = None
 
     def __post_init__(self) -> None:
-        if type(cve_id := self.cve_id) is not str or not CVE_ID_PATTERN.fullmatch(cve_id):
-            raise ValueError(f"malformed CVE id: {cve_id!r}")
-        if type(self.description) is not str:
-            raise ValueError(f"{cve_id}: description {self.description!r} is not a string")
-        for name, value in ("vector string", self.vector_string), ("affected os", self.affected_os):
-            if value is not None and type(value) is not str:
-                raise ValueError(f"{cve_id}: {name} {value!r} is not a string")
-        if (score := self.official_score) is not None:
-            if type(score) is int:
-                object.__setattr__(self, "official_score", float(score))
-            elif type(score) is not float:
-                raise ValueError(f"{cve_id}: official score {score!r} is not a number")
-            if not 0.0 <= score <= 10.0:
-                raise ValueError(f"{cve_id}: official score {score} outside [0, 10]")
-        if type(self.published) is not datetime:
-            raise ValueError(f"{cve_id}: published {self.published!r} is not a datetime")
-        object.__setattr__(self, "published", as_utc(self.published))
+        _, _, published, score, _, _ = check_fields(*vars(self).values())  # fields in order
+        object.__setattr__(self, "official_score", score)
+        object.__setattr__(self, "published", published)
 
     def to_dict(self) -> dict:
-        return {
-            "cve_id": self.cve_id,
-            "description": self.description,
-            "published": self.published.isoformat(),
-            "official_score": self.official_score,
-            "vector_string": self.vector_string,
-            "affected_os": self.affected_os,
-        }
+        return {**vars(self), "published": self.published.isoformat()}
 
     @classmethod
     def from_dict(cls, data: dict) -> CveRecord:
-        return cls(
-            cve_id=data["cve_id"],
-            description=data["description"],
-            published=parse_timestamp(data["published"]),
-            official_score=data.get("official_score"),
-            vector_string=data.get("vector_string"),
-            affected_os=data.get("affected_os"),
-        )
+        return cls(*record_fields(data))
+
+
+@dataclass(frozen=True, eq=False)
+class RecordColumns(Sequence):
+    """``CveRecord``s stored as one list per field, in field order, and
+    built on access: ``columns[k]`` is record k, and a slice, a numpy
+    boolean mask or index array, or a list of positions gives a
+    sub-container. It equals a list of the same records."""
+
+    ids: list[str]
+    descriptions: list[str]
+    published: list[datetime]
+    officials: list[float | None]
+    vectors: list[str | None]
+    affected_os: list[str | None]
+
+    @classmethod
+    def of(cls, records: Iterable[CveRecord]) -> RecordColumns:
+        """``records`` as columns; a ``RecordColumns`` is returned as is."""
+        if isinstance(records, cls):
+            return records
+        records = list(records)
+        return cls(*([getattr(r, f.name) for r in records] for f in fields(CveRecord)))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return CveRecord(*(column[key] for column in vars(self).values()))
+        index = key if isinstance(key, list) else np.arange(len(self))[key].tolist()
+        return RecordColumns(*([column[k] for k in index] for column in vars(self).values()))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, RecordColumns)):
+            return list(self) == list(other)
+        return NotImplemented

@@ -9,7 +9,7 @@ import io
 import json
 import math
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, astuple, dataclass
 from itertools import chain
 from pathlib import Path
@@ -39,7 +39,7 @@ from .analytics import (
 from .calibration import DEFAULT_KAPPA_RANGE, fit_kappa, uniform_weights
 from .config import config_to_dict, write_atomic
 from .model import ModelConfig, ScoredBatch, _score_vector, composite_score, score_records
-from .records import CveRecord
+from .records import CveRecord, RecordColumns
 
 SCORE_BINS = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 BIN_LABELS = ("[0,2)", "[2,4)", "[4,6)", "[6,8)", "[8,10]")
@@ -162,20 +162,21 @@ def _safe_spearman(pred, truth):
 
 
 def score_rows(scored: ScoredBatch) -> CsvLines:
-    """One ``SCORE_HEADER`` line per scored record; a missing official score
-    is a blank cell. The score cells are rendered once per vector code, with
-    ``repr()`` as ``csv.writer`` renders a float. No cell needs quoting:
-    ``CveRecord`` ids match ``CVE-\\d{4}-\\d{4,}`` and severity labels are
-    single words."""
+    """One ``SCORE_HEADER`` line per scored record, read from the batch's
+    ``ids`` and ``officials`` record columns and its table; a missing
+    official score is a blank cell. The score cells are rendered once per
+    vector code, with ``repr()`` as ``csv.writer`` renders a float. No cell
+    needs quoting: record ids match ``CVE-\\d{4}-\\d{4,}`` (checked when
+    read) and severity labels are single words."""
     cells = [
         f"{rb!r},{impact!r},{sv!r},{severity.label}\n"
         for _, _, rb, impact, sv, severity in scored.table
     ]
 
     def render() -> Iterator[str]:
-        for r, row in zip(scored.records, scored.rows.tolist()):
-            official = "" if r.official_score is None else repr(r.official_score)
-            yield f"{r.cve_id},{official},{cells[row]}"
+        columns = scored.records.ids, scored.records.officials, scored.rows.tolist()
+        for cve_id, official, row in zip(*columns):
+            yield f"{cve_id},{'' if official is None else repr(official)},{cells[row]}"
 
     return CsvLines(len(scored), render)
 
@@ -207,7 +208,7 @@ def _method_comparison(scored: ScoredBatch, config: ModelConfig) -> list[tuple]:
 
 
 def build_bundle(
-    records: list[CveRecord],
+    records: Iterable[CveRecord],
     config: ModelConfig | None = None,
     *,
     exclude_ids=frozenset(),
@@ -223,17 +224,18 @@ def build_bundle(
     on the order the cache lists them in.
     """
     config = config or ModelConfig()
-    records = list(records)
+    records = RecordColumns.of(records)
     exclude = frozenset(exclude_ids)
-    kept = sorted((r for r in records if r.cve_id not in exclude), key=lambda r: r.cve_id)
+    kept = [k for k, cve_id in enumerate(records.ids) if cve_id not in exclude]
+    kept.sort(key=records.ids.__getitem__)
     if not kept:
         raise EmptyDatasetError("no records to analyze after exclusions")
 
-    scored_all, skipped = score_records(kept, config, lenient=lenient)
-    has_official = np.array([r.official_score is not None for r in scored_all.records], dtype=bool)
+    scored_all, skipped = score_records(records[kept], config, lenient=lenient)
+    has_official = np.array([o is not None for o in scored_all.records.officials], dtype=bool)
     skip_rows = sorted(
         [(rec.cve_id, reason) for rec, reason in skipped]
-        + [(rec.cve_id, "no official score") for rec in scored_all[~has_official].records]
+        + [(cve_id, "no official score") for cve_id in scored_all[~has_official].records.ids]
     )
     scored = scored_all[has_official]
     if not scored:
@@ -242,7 +244,7 @@ def build_bundle(
     t = config.thresholds
     n = len(scored)
     officials = scored.officials
-    ids = [rec.cve_id for rec in scored.records]
+    ids = scored.records.ids
     tables: dict[str, Table] = {}
     summary: dict = {}
 

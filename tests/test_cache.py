@@ -304,3 +304,102 @@ def test_record_rejects_wrongly_typed_fields():
     with pytest.raises(ValueError, match="official score"):
         make_record(official=True)
     assert make_record(official=7).official_score == 7
+
+
+def differential_corpus() -> list[bytes]:
+    """Cache lines of every kind the reader must keep or reject, one each."""
+    valid = {
+        "cve_id": "CVE-2024-20000",
+        "description": "heap overflow in the parser",
+        "published": "2024-01-02T03:04:05Z",
+        "official_score": 7,
+        "vector_string": "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H",
+        "affected_os": "linux linux_kernel",
+    }
+
+    def line(cve_id, drop=(), **changes):
+        data = {**valid, "cve_id": cve_id, **changes}
+        return json.dumps({k: v for k, v in data.items() if k not in drop}).encode() + b"\n"
+
+    keep = [
+        line("CVE-2024-20000"),
+        json.dumps({**dict(reversed(list(valid.items()))), "cve_id": "CVE-2024-20001",
+                    "x_extra": 1}).encode() + b"\n",
+        line("CVE-2024-20002", published="2024-01-02T05:04:05+02:00", official_score=9.8),
+        line("CVE-2024-20003", published="2024-01-02T03:04:05", official_score=None,
+             vector_string=None, affected_os=None),
+        line("CVE-2024-20004", drop=("official_score", "vector_string", "affected_os")),
+    ]
+    wrong_type = [
+        line("CVE-2024-20010", official_score="7.5"),
+        line("CVE-2024-20011\n"),
+        line("CVE-2024-20012", description=5),
+        line("CVE-2024-20013", affected_os=["x"]),
+        line("CVE-2024-20014", published=20240101),
+    ]
+    bad_value = [
+        line("CVE-2024-20020", official_score=10.5),
+        line("CVE-2024-20021", official_score=-0.1),
+        line("CVE-2024-20022", published="yesterday"),
+        line("CVE-24-1"),
+    ]
+    missing = [line("CVE-2024-20030", drop=(key,)) for key in ("cve_id", "description", "published")]
+    not_an_object = [b"[1]\n", b'"x"\n', b"5\n", b"null\n"]
+    broken = [
+        line("CVE-2024-20040")[:40] + b"\n",
+        line("CVE-2024-20041").replace(b"heap", b"h\xffeap"),
+        b"\n",
+        line("CVE-2024-20000"),  # a duplicate id
+    ]
+    return [*keep, *wrong_type, *bad_value, *missing, *not_an_object, *broken]
+
+
+def reference_read(lines: list[bytes]):
+    """What the reader did with ``CveRecord.from_dict(json.loads(line))``
+    per line: the records kept and one ``(line, reason, warning)`` per line
+    dropped (``reason`` is None for a duplicate id)."""
+    kept, dropped, seen = [], [], set()
+    for line_no, line in enumerate(lines, start=2):
+        try:
+            record = CveRecord.from_dict(json.loads(line.decode("utf-8")))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            dropped.append((line_no, str(exc), f"skipping corrupt cache line {line_no}: {exc}"))
+            continue
+        if record.cve_id in seen:
+            warning = f"skipping duplicate id {record.cve_id} at line {line_no}"
+            dropped.append((line_no, None, warning))
+            continue
+        seen.add(record.cve_id)
+        kept.append(record)
+    return kept, dropped
+
+
+def field_values(record: CveRecord) -> list:
+    """Every field with its exact type; ``published`` with its offset."""
+    values = [(type(v), v) for v in vars(record).values()]
+    return values + [record.published.isoformat()]
+
+
+def write_lines(path, lines: list[bytes]):
+    header = json.dumps({"count": len(lines), "schema": SCHEMA_VERSION}).encode()
+    path.write_bytes(b"\n".join([header, b"".join(lines)]))
+    return path
+
+
+def test_reader_matches_from_dict_line_by_line(tmp_path, caplog):
+    corpus = differential_corpus()
+    kept, dropped = reference_read(corpus)
+    assert len(kept) == 5 and len(dropped) == len(corpus) - 5
+    path = write_lines(tmp_path / "corpus.jsonl", corpus)
+    with caplog.at_level(logging.WARNING, logger="cverisk.cache"):
+        records = read_cache(path, lenient=True)
+    assert [field_values(r) for r in records] == [field_values(r) for r in kept]
+    assert caplog.messages == [warning for _, _, warning in dropped]
+    # strict mode aborts on each dropped line, after the kept ones, with the same reason
+    for k, (line_no, reason, _) in enumerate(dropped):
+        path = write_lines(tmp_path / f"strict-{k}.jsonl", [*corpus[:5], corpus[line_no - 2]])
+        with pytest.raises(DuplicateIdError if reason is None else CacheFormatError) as err:
+            read_cache(path)
+        assert err.value.line_no == 7
+        if reason is not None:
+            assert err.value.reason == reason

@@ -21,6 +21,7 @@ from cverisk.cache import read_cache, write_cache
 from cverisk.cli import main
 from cverisk.model import ScoringError, score_record
 from cverisk.nvd import NetworkError, RateLimiter, fetch_window
+from cverisk.records import CveRecord
 from cverisk.report import CsvLines, score_rows
 
 from conftest import SAMPLE_CACHE, make_record
@@ -225,6 +226,25 @@ def test_non_string_vector_is_a_corrupt_cache_line(
     assert "line 6" in strict.output
     lenient = runner.invoke(main, [*args, "--lenient", "--out", str(tmp_path / "lenient")])
     assert lenient.exit_code == 0, lenient.output
+
+
+def test_score_builds_a_record_only_for_each_one_it_skips(runner, tmp_path, monkeypatch):
+    """The cache is read into columns; a ``CveRecord`` is built only for a
+    skipped record, which ``score_records`` reports as one."""
+    built = []
+    check = CveRecord.__post_init__
+
+    def counting(record):
+        built.append(record.cve_id)
+        check(record)
+
+    monkeypatch.setattr(CveRecord, "__post_init__", counting)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["score", "--cache", str(SAMPLE_CACHE), "--lenient", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    skipped = (out / "skip_report.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(skipped) == 7
+    assert len(built) <= len(skipped)
 
 
 def test_a_vector_that_does_not_parse_is_skipped_in_both_modes(runner, cache_copy, tmp_path):
@@ -746,6 +766,25 @@ def test_ingest_page_of_the_wrong_shape(runner, tmp_path, monkeypatch):
     assert result.output.count("error:") == 1
     assert "non-integer at 'totalResults'" in result.output
     assert not out.exists()
+
+
+def test_ingest_window_that_lists_one_id_twice(runner, tmp_path, monkeypatch):
+    items = [api_item("CVE-2024-0001"), api_item("CVE-2024-0002"), api_item("CVE-2024-0001")]
+    session = FakeSession([FakeResponse(payload=page_payload(items[:2], 3)),
+                           FakeResponse(payload=page_payload(items[2:], 3))])
+    monkeypatch.setattr(
+        cli_module,
+        "fetch_window",
+        lambda w: fetch_window(w, session=session, rate_limiter=RateLimiter(100, 30.0)),
+    )
+    out = tmp_path / "c.jsonl"
+    result = runner.invoke(main, ["ingest", "--window", "2024-01-01..2024-01-15", "--out-cache", str(out)])
+    assert result.exit_code == 4, result.output
+    assert result.output.count("error:") == 1
+    assert "CVE-2024-0001 more than once" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ingest_rejects_oversized_window(runner, tmp_path):

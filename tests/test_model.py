@@ -335,7 +335,7 @@ def test_score_records_equals_score_record_per_record(config, lenient):
         "CVSS:3.1/S:C/AV:L/AC:H/PR:L/UI:R/C:L/I:N/A:H",
         "CVSS:3.0/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H",
     ]
-    records = read_cache(SAMPLE_CACHE) + [
+    records = list(read_cache(SAMPLE_CACHE)) + [
         make_record(cve_id=f"CVE-2025-{20000 + k}", vector=vs) for k, vs in enumerate(extra * 2)
     ]
     expected, expected_skipped = [], []
