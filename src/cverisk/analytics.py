@@ -264,6 +264,9 @@ class Ecdf:
         scores = np.sort(np.asarray(self.sorted_scores, dtype=float))
         if scores.size == 0:
             raise EmptyInputError("ecdf requires at least one score")
+        # NaN sorts last and, as in min/max, exempts the scores from the range check
+        if not np.isnan(scores[-1]) and (scores[0] < 0.0 or scores[-1] > 10.0):
+            raise ValueError("scores must lie in [0, 10]")
         object.__setattr__(self, "sorted_scores", scores)
 
     def __call__(self, r):
@@ -277,12 +280,7 @@ class Ecdf:
 
 
 def ecdf(scores: Iterable[float]) -> Ecdf:
-    arr = np.asarray(list(scores), dtype=float)
-    if arr.size == 0:
-        raise EmptyInputError("ecdf requires at least one score")
-    if arr.min() < 0.0 or arr.max() > 10.0:
-        raise ValueError("scores must lie in [0, 10]")
-    return Ecdf(arr)
+    return Ecdf(np.asarray(list(scores), dtype=float))
 
 
 @dataclass(frozen=True)

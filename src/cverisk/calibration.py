@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import encode_factors
-from .model import GRID_TOLERANCE, ModelWeights, ScoredRecord, official_scores
+from .model import GRID_TOLERANCE, ModelWeights, ScoredBatch
 
 DEFAULT_KAPPA_RANGE = (0.5, 2.0, 0.05)
 DEFAULT_LAMBDA_GRID = (0.25, 0.5, 0.75, 1.0)
@@ -41,10 +41,10 @@ def uniform_weights(kappa: float = 1.0, delta: float = 0.1) -> ModelWeights:
     return ModelWeights(third, third, third, third, third, third, kappa, delta)
 
 
-def _official_scores(cal: Sequence[ScoredRecord]) -> np.ndarray:
+def _official_scores(cal: ScoredBatch) -> np.ndarray:
     if not cal:
         raise EmptyCalibrationSetError("calibration set is empty")
-    return official_scores([sr.record for sr in cal])
+    return cal.officials
 
 
 def _kappa_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -88,16 +88,15 @@ def fit_kappa(
 
 
 def calibrate_kappa(
-    cal: Sequence[ScoredRecord],
+    cal: ScoredBatch,
     lo: float = 0.5,
     hi: float = 2.0,
     step: float = 0.05,
     *,
     delta: float = 0.1,
 ) -> float:
-    """``fit_kappa`` on a calibration set's own products and official scores."""
-    products = np.array([10.0 * sr.base_risk * sr.impact for sr in cal])
-    return fit_kappa(products, _official_scores(cal), lo, hi, step, delta)
+    """``fit_kappa`` on a calibration batch's own products and official scores."""
+    return fit_kappa(10.0 * cal.base_risk * cal.impact, _official_scores(cal), lo, hi, step, delta)
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ class _Groups:
     member: np.ndarray  # (n,): each record's group
 
 
-def _group_sample(cal: Sequence[ScoredRecord]) -> _Groups:
+def _group_sample(cal: ScoredBatch) -> _Groups:
     """Group by the only levels the composite reads; at most 648 groups,
     encoded with the default attribute maps that ``calibrate`` writes out.
     The default encodings are distinct per level, so equal encodings mean
@@ -124,12 +123,15 @@ def _group_sample(cal: Sequence[ScoredRecord]) -> _Groups:
     tenths = np.rint(officials * 10.0)
     off_grid = np.flatnonzero(np.abs(officials * 10.0 - tenths) > _OFF_GRID_SLACK)
     if off_grid.size:
-        record = cal[int(off_grid[0])].record
+        k = int(off_grid[0])
         raise OffGridError(
-            f"{record.cve_id}: official score {record.official_score!r} is not on the 0.1 grid"
+            f"{cal.records.ids[k]}: official score {cal.records.officials[k]!r} "
+            "is not on the 0.1 grid"
         )
-    encoded = np.array([encode_factors(sr.vector) for sr in cal])[:, [0, 1, 2, 5, 6, 7]]
-    levels, member = np.unique(encoded, axis=0, return_inverse=True)
+    # One encoding per table row, with the default maps: ``cal.factors``
+    # carries the maps of the config the batch was scored with.
+    encoded = np.array([encode_factors(vector) for vector, *_ in cal.table])[:, [0, 1, 2, 5, 6, 7]]
+    levels, member = np.unique(encoded[cal.rows], axis=0, return_inverse=True)
     member = member.reshape(-1)  # numpy 2.0.0 returns it 2-D
     return _Groups(
         exploit=levels[:, :3],
@@ -175,7 +177,7 @@ def _score_units(products: np.ndarray, kappa: float, out: np.ndarray) -> np.ndar
 
 
 def calibrate_weights(
-    cal: Sequence[ScoredRecord],
+    cal: ScoredBatch,
     grid_step: float = 0.05,
     *,
     lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,

@@ -106,14 +106,6 @@ class ScoredRecord:
     severity: Severity
 
 
-def official_scores(records: Iterable[CveRecord]) -> np.ndarray:
-    """The records' official scores; a record without one is an error."""
-    records = RecordColumns.of(records)
-    if None in records.officials:
-        raise ValueError(f"{records.ids[records.officials.index(None)]} has no official score")
-    return np.array(records.officials, dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class ScoredBatch(Sequence):
     """Scored records (as ``RecordColumns``): one ``_score_vector`` tuple
@@ -167,7 +159,11 @@ class ScoredBatch(Sequence):
 
     @cached_property
     def officials(self) -> np.ndarray:
-        return official_scores(self.records)
+        """Official scores; a record without one is an error."""
+        officials = self.records.officials
+        if None in officials:
+            raise ValueError(f"{self.records.ids[officials.index(None)]} has no official score")
+        return np.array(officials, dtype=float)
 
 
 def round_up(x: float, delta: float) -> float:

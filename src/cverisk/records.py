@@ -9,7 +9,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-CVE_ID_PATTERN = re.compile(r"CVE-\d{4}-\d{4,}")
+CVE_ID_PATTERN = re.compile(r"CVE-[0-9]{4}-[0-9]{4,}")
 
 
 def as_utc(dt: datetime) -> datetime:

@@ -10,7 +10,7 @@ import json
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
@@ -36,7 +36,7 @@ from .analytics import (
     mae,
     spearman_rho,
 )
-from .calibration import DEFAULT_KAPPA_RANGE, fit_kappa, uniform_weights
+from .calibration import calibrate_kappa, uniform_weights
 from .config import config_to_dict, write_atomic
 from .model import ModelConfig, ScoredBatch, _score_vector, composite_score, score_records
 from .records import CveRecord, RecordColumns
@@ -193,11 +193,10 @@ def _method_comparison(scored: ScoredBatch, config: ModelConfig) -> list[tuple]:
     officials = scored.officials
     delta = config.weights.delta
     preset_cfg = ModelConfig(config.maps, uniform_weights(delta=delta), config.thresholds)
-    preset = [_score_vector(vector, preset_cfg)[2:4] for vector, *_ in scored.table]
-    products = np.array([10.0 * rb * impact for rb, impact in preset])
-    kappa = fit_kappa(products[scored.rows], officials, *DEFAULT_KAPPA_RANGE, delta)
+    preset = replace(scored, table=[_score_vector(v, preset_cfg) for v, *_ in scored.table])
+    kappa = calibrate_kappa(preset, delta=delta)
     refit = uniform_weights(kappa, delta=delta)
-    preset_scores = np.array([composite_score(rb, impact, refit) for rb, impact in preset])
+    preset_scores = np.array([composite_score(*row[2:4], refit) for row in preset.table])
     return [
         (method, mae(scores, officials), _safe_spearman(scores, officials), method_kappa)
         for method, scores, method_kappa in (

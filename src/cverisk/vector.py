@@ -120,7 +120,9 @@ _METRICS: dict[str, tuple[str, type[Enum]]] = {
 
 METRIC_NAMES = tuple(_METRICS)
 _ORDINAL = {member: k for _, enum in _METRICS.values() for k, member in enumerate(enum)}
-_RADICES = tuple(len(enum) for _, enum in _METRICS.values())
+# Each metric's members in enum order, so a code digit indexes its value.
+_MEMBERS = tuple(tuple(enum) for _, enum in _METRICS.values())
+_RADICES = tuple(len(members) for members in _MEMBERS)
 # Place value of each metric's digit in a code: (864, 432, 144, 72, 36, 12, 4, 1).
 _PLACES = tuple(math.prod(_RADICES[k + 1 :]) for k in range(len(_RADICES)))
 # Each valid token, e.g. "AV:N" -> (metric position, digit * place value).
@@ -148,12 +150,8 @@ def metric_level(code, name: str):
 
 
 def _vector(code: int) -> CvssVector:
-    return CvssVector(
-        *(
-            list(enum)[code // place % radix]
-            for (_, enum), place, radix in zip(_METRICS.values(), _PLACES, _RADICES)
-        )
-    )
+    digits = (code // place % radix for place, radix in zip(_PLACES, _RADICES))
+    return CvssVector(*(members[digit] for members, digit in zip(_MEMBERS, digits)))
 
 
 def _token_error(prefix: str, parts: list[str], seen: int) -> VectorError:

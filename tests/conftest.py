@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from cverisk.cache import read_cache
-from cverisk.model import score_records
-from cverisk.records import CveRecord
+from cverisk.model import ScoredBatch, SeverityThresholds, score_records
+from cverisk.records import CveRecord, RecordColumns
 
 DATA_DIR = Path(__file__).parent / "data"
 SAMPLE_CACHE = DATA_DIR / "sample_cache.jsonl"
@@ -51,6 +51,18 @@ def make_record(
         official_score=official,
         vector_string=vector,
         **kwargs,
+    )
+
+
+def as_batch(scored_records) -> ScoredBatch:
+    """``ScoredRecord``s built one by one as a ``ScoredBatch``, one table
+    row per record, under the default thresholds."""
+    scored_records = list(scored_records)
+    return ScoredBatch(
+        RecordColumns.of(sr.record for sr in scored_records),
+        [tuple(vars(sr).values())[1:] for sr in scored_records],  # every field after ``record``
+        np.arange(len(scored_records), dtype=np.intp),
+        SeverityThresholds(),
     )
 
 

@@ -43,7 +43,7 @@ from cverisk.model import (
 from cverisk.vector import VectorError, parse_vector, serialize_vector
 
 import oracles
-from conftest import SAMPLE_CACHE, all_vector_strings, make_record
+from conftest import SAMPLE_CACHE, all_vector_strings, as_batch, make_record
 from test_calibration import fake_scored
 
 AV_LABELS = {"N": "Network", "A": "Adjacent", "L": "Local", "P": "Physical"}
@@ -151,7 +151,7 @@ def test_criterion_3_calibration_recovery_under_noise():
         product = 2.0 + 5.0 * k / 39.0
         official = min(10.0, oracles.round_up(product * kappa0, 0.1))
         exact.append(fake_scored(product, official, k))
-    assert calibrate_kappa(exact) == kappa0
+    assert calibrate_kappa(as_batch(exact)) == kappa0
 
     hits = 0
     trials = 100
@@ -162,7 +162,7 @@ def test_criterion_3_calibration_recovery_under_noise():
             product = rng.uniform(2.0, 7.0)
             official = min(10.0, max(0.0, product * kappa0 + rng.gauss(0.0, 0.1)))
             cal.append(fake_scored(product, official, k))
-        if abs(calibrate_kappa(cal) - kappa0) <= 0.05 + 1e-12:
+        if abs(calibrate_kappa(as_batch(cal)) - kappa0) <= 0.05 + 1e-12:
             hits += 1
     elapsed = time.perf_counter() - started
     assert hits >= 95, f"only {hits}/100 noisy trials recovered kappa within one grid step"
@@ -323,7 +323,7 @@ def test_criterion_8_calibrated_model_beats_uniform_baseline(sample_scored):
         chosen = {sr.record.cve_id for sr in sample}
         holdout = [sr.record for sr in pool if sr.record.cve_id not in chosen]
 
-        fitted = calibrate_weights(sample)
+        fitted = calibrate_weights(as_batch(sample))
         fitted_scored, _ = score_records(holdout, ModelConfig(weights=fitted))
         officials = [sr.record.official_score for sr in fitted_scored]
         fitted_mae = mae([sr.composite for sr in fitted_scored], officials)

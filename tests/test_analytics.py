@@ -352,6 +352,17 @@ def test_ecdf_accepts_arrays_and_rejects_bad_input():
         ecdf([-0.1])
     with pytest.raises(ValueError):
         ecdf([10.2])
+    # the constructor checks too, and a NaN, which sorts last, skips the
+    # range check as numpy's min and max do
+    with pytest.raises(EmptyInputError):
+        Ecdf(np.array([]))
+    with pytest.raises(ValueError, match=r"\[0, 10\]"):
+        Ecdf(np.array([5.0, -0.1]))
+    with pytest.raises(ValueError, match=r"\[0, 10\]"):
+        Ecdf(np.array([10.2, 5.0]))
+    assert Ecdf(np.array([10.0, 0.0])).sorted_scores.tolist() == [0.0, 10.0]
+    for scores in ([float("nan")], [5.0, float("nan")], [-1.0, float("nan"), 11.0]):
+        assert ecdf(scores).sorted_scores.size == len(scores)
 
 
 def test_ecdf_against_uniform_reference_within_dkw_band():

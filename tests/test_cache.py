@@ -342,6 +342,8 @@ def differential_corpus() -> list[bytes]:
         line("CVE-2024-20021", official_score=-0.1),
         line("CVE-2024-20022", published="yesterday"),
         line("CVE-24-1"),
+        line("CVE-\uff12\uff10\uff12\uff14-20023"),  # fullwidth digits
+        line("CVE-2024-\u0662\u0660\u0660\u0662\u0664"),  # Arabic-Indic digits
     ]
     missing = [line("CVE-2024-20030", drop=(key,)) for key in ("cve_id", "description", "published")]
     not_an_object = [b"[1]\n", b'"x"\n', b"5\n", b"null\n"]

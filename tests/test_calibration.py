@@ -24,7 +24,7 @@ from cverisk.calibration import (
 from cverisk.model import GRID_TOLERANCE, ModelConfig, ModelWeights, score_record
 
 import oracles
-from conftest import make_record
+from conftest import as_batch, make_record
 
 TEMPLATE = score_record(make_record())
 
@@ -68,22 +68,22 @@ def test_uniform_weights_preset():
 
 def test_calibrate_kappa_rejects_empty_and_unscored():
     with pytest.raises(EmptyCalibrationSetError):
-        calibrate_kappa([])
+        calibrate_kappa(as_batch([]))
     with pytest.raises(ValueError, match="official"):
-        calibrate_kappa([replace(TEMPLATE, record=make_record(official=None))])
+        calibrate_kappa(as_batch([replace(TEMPLATE, record=make_record(official=None))]))
 
 
 def test_calibrate_kappa_recovers_planted_scale_exactly(all_scored):
     cal = planted_kappa_set(1.3, diverse_vectors(all_scored))
     assert len(cal) >= 40
-    assert calibrate_kappa(cal) == 1.3
+    assert calibrate_kappa(as_batch(cal)) == 1.3
 
 
 def test_calibrate_kappa_matches_bruteforce_oracle(all_scored):
     cal = planted_kappa_set(1.15, diverse_vectors(all_scored, limit=30))
     products = [10.0 * sr.base_risk * sr.impact for sr in cal]
     officials = [sr.record.official_score for sr in cal]
-    assert calibrate_kappa(cal) == oracles.best_kappa(products, officials)
+    assert calibrate_kappa(as_batch(cal)) == oracles.best_kappa(products, officials)
 
 
 def test_calibrate_kappa_oracle_agreement_on_noisy_data():
@@ -97,24 +97,24 @@ def test_calibrate_kappa_oracle_agreement_on_noisy_data():
         cal.append(fake_scored(product, official, k))
     products = [10.0 * sr.base_risk * sr.impact for sr in cal]
     officials = [sr.record.official_score for sr in cal]
-    assert calibrate_kappa(cal) == oracles.best_kappa(products, officials)
+    assert calibrate_kappa(as_batch(cal)) == oracles.best_kappa(products, officials)
 
 
 def test_calibrate_kappa_tie_breaks_toward_smaller_value():
     # zero products make every kappa score 0.0, a perfect tie across the grid
     cal = [fake_scored(0.0, 0.0, k) for k in range(5)]
-    assert calibrate_kappa(cal) == 0.5
+    assert calibrate_kappa(as_batch(cal)) == 0.5
 
 
 def test_calibrate_kappa_custom_grid():
     cal = [fake_scored(5.0, 5.5, k) for k in range(3)]
-    got = calibrate_kappa(cal, lo=1.0, hi=1.2, step=0.1)
+    got = calibrate_kappa(as_batch(cal), lo=1.0, hi=1.2, step=0.1)
     assert got in (1.0, 1.1, 1.2)
     assert got == 1.1  # 5.0 * 1.1 = 5.5 exactly on the grid
     with pytest.raises(ValueError):
-        calibrate_kappa(cal, lo=1.0, hi=1.0, step=0.1)
+        calibrate_kappa(as_batch(cal), lo=1.0, hi=1.0, step=0.1)
     with pytest.raises(ValueError):
-        calibrate_kappa(cal, step=0.0)
+        calibrate_kappa(as_batch(cal), step=0.0)
 
 
 def test_calibrate_kappa_is_scale_free_below_the_cap():
@@ -122,14 +122,14 @@ def test_calibrate_kappa_is_scale_free_below_the_cap():
     base = [(2.0, 2.7), (3.0, 3.8), (1.5, 2.0), (4.0, 5.1)]
     plain = [fake_scored(p, o, k) for k, (p, o) in enumerate(base)]
     shrunk = [fake_scored(p * 0.5, o * 0.5, k) for k, (p, o) in enumerate(base)]
-    assert calibrate_kappa(plain, delta=0.1) == calibrate_kappa(shrunk, delta=0.05)
+    assert calibrate_kappa(as_batch(plain), delta=0.1) == calibrate_kappa(as_batch(shrunk), delta=0.05)
 
 
 def test_calibrate_weights_rejects_bad_grid_steps():
     cal = [fake_scored(5.0, 5.0)]
     for bad in (0.3, 0.07, 0.0, -0.25):
         with pytest.raises((BadGridStepError, ValueError)):
-            calibrate_weights(cal, grid_step=bad)
+            calibrate_weights(as_batch(cal), grid_step=bad)
 
 
 def test_calibrate_weights_recovers_planted_config(all_scored):
@@ -141,7 +141,7 @@ def test_calibrate_weights_recovers_planted_config(all_scored):
         rec = make_record(cve_id=f"CVE-2024-{50000 + k}", vector=vs, official=probe.composite)
         cal.append(score_record(rec))
     got = calibrate_weights(
-        cal, grid_step=0.25, lambda_grid=(0.5, 1.0), kappa_range=(1.0, 1.6, 0.1)
+        as_batch(cal), grid_step=0.25, lambda_grid=(0.5, 1.0), kappa_range=(1.0, 1.6, 0.1)
     )
     assert (got.alpha, got.beta, got.gamma) == (0.5, 0.25, 0.25)
     assert (got.lambda_c, got.lambda_i, got.lambda_a) == (1.0, 1.0, 0.5)
@@ -158,7 +158,7 @@ def test_calibrate_weights_tie_breaks_lexicographically():
             official=0.0,
         )
         cal.append(score_record(rec))
-    got = calibrate_weights(cal, grid_step=0.5)
+    got = calibrate_weights(as_batch(cal), grid_step=0.5)
     assert (got.alpha, got.beta, got.gamma) == (0.0, 0.0, 1.0)
     assert (got.lambda_c, got.lambda_i, got.lambda_a) == (0.25, 0.25, 0.25)
     assert got.kappa == 0.5
@@ -186,7 +186,7 @@ def test_calibrate_weights_is_argmin_over_its_grid(sample_scored):
     def mse_with_kappa_refit(alpha, beta, gamma, lambdas):
         probe = ModelConfig(weights=ModelWeights(alpha, beta, gamma, *lambdas))
         rescored = [score_record(sr.record, probe) for sr in cal]
-        kappa = calibrate_kappa(rescored)
+        kappa = calibrate_kappa(as_batch(rescored))
         return in_sample_mse(ModelWeights(alpha, beta, gamma, *lambdas, kappa))
 
     fitted = calibrate_weights(cal, grid_step=0.25)
@@ -227,7 +227,7 @@ def test_calibrate_weights_matches_bruteforce_oracle(all_scored, seed):
     cal = seeded_set(all_scored, seed)
     encodings = [tuple(sr.factors[k] for k in (0, 1, 2, 5, 6, 7)) for sr in cal]
     officials = [sr.record.official_score for sr in cal]
-    got = calibrate_weights(cal, grid_step=0.25, lambda_grid=(0.5, 1.0))
+    got = calibrate_weights(as_batch(cal), grid_step=0.25, lambda_grid=(0.5, 1.0))
     assert weight_tuple(got) == oracles.best_weights(encodings, officials, 4, (0.5, 1.0))
 
 
@@ -236,7 +236,7 @@ def test_calibrate_weights_breaks_the_fixture_tie_lexicographically(sample_score
     1.15, have exactly the same squared error on this sample; the
     lexicographically smaller tuple must win."""
     pool = sorted(sample_scored, key=lambda sr: sr.record.cve_id)
-    got = calibrate_weights(random.Random(0).sample(pool, 100))
+    got = calibrate_weights(as_batch(random.Random(0).sample(pool, 100)))
     assert weight_tuple(got)[:6] == (0.25, 0.35, 0.4, 1.0, 1.0, 1.0)
     assert got.kappa == 1.15
 
@@ -244,7 +244,7 @@ def test_calibrate_weights_breaks_the_fixture_tie_lexicographically(sample_score
 def test_calibrate_weights_ignores_repeating_every_record(sample_scored):
     cal = sample_scored[:60]
     tripled = [sr for sr in cal for _ in range(3)]
-    assert calibrate_weights(tripled) == calibrate_weights(cal)
+    assert calibrate_weights(as_batch(tripled)) == calibrate_weights(cal)
 
 
 def test_search_score_units_equal_scalar_composites(sample_scored):
@@ -264,7 +264,7 @@ def test_search_score_units_equal_scalar_composites(sample_scored):
 
 def test_calibrate_weights_rejects_off_grid_officials():
     with pytest.raises(OffGridError, match="CVE-2024-30001"):
-        calibrate_weights([fake_scored(5.0, 5.0, 0), fake_scored(5.0, 7.25, 1)])
+        calibrate_weights(as_batch([fake_scored(5.0, 5.0, 0), fake_scored(5.0, 7.25, 1)]))
 
 
 def _one_shot_mse(products, officials, grid, delta):

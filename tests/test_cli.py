@@ -19,7 +19,7 @@ import cverisk.cli as cli_module
 from cverisk import __version__
 from cverisk.cache import read_cache, write_cache
 from cverisk.cli import main
-from cverisk.model import ScoringError, score_record
+from cverisk.model import ScoringError, score_record, score_records
 from cverisk.nvd import NetworkError, RateLimiter, fetch_window
 from cverisk.records import CveRecord
 from cverisk.report import CsvLines, score_rows
@@ -93,6 +93,27 @@ def test_analyze_runs_are_byte_identical(runner, cache_copy, tmp_path):
         )
         assert result.exit_code == 0, result.output
         outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert outputs[0] == outputs[1]
+
+
+def test_calibrate_reruns_in_separate_processes_are_byte_identical(tmp_path):
+    """Separate interpreters get different hash seeds, so set or dict order
+    leaking into the sample or the fit shows up as different files."""
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out_dir = tmp_path / f"hash-seed-{hash_seed}"
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(cverisk.__file__).parents[1]),
+            "PYTHONHASHSEED": hash_seed,
+        }
+        subprocess.run(
+            [sys.executable, "-m", "cverisk.cli", "calibrate", "--cache", str(SAMPLE_CACHE),
+             "--n-cal", "100", "--seed", "0", "--out", str(out_dir)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert sorted(outputs[0]) == ["calibration_ids.txt", "model_config.txt"]
     assert outputs[0] == outputs[1]
 
 
@@ -205,12 +226,13 @@ def test_lenient_mode_rides_over_corrupt_lines(runner, cache_copy, tmp_path):
         ("vector_string", ["CVSS:3.1"]),
         ("official_score", "7.5"),
         ("cve_id", "CVE-2024-10004\n"),
+        ("cve_id", "CVE-2024-\u0661\u0660\u0660\u0660\u0664"),
         ("description", 5),
         ("affected_os", ["x"]),
         ("published", 20240101),
     ],
-    ids=["number", "list", "score-string", "id-newline", "description-number", "os-list",
-         "published-number"],
+    ids=["number", "list", "score-string", "id-newline", "id-non-ascii-digits",
+         "description-number", "os-list", "published-number"],
 )
 def test_non_string_vector_is_a_corrupt_cache_line(
     runner, cache_copy, tmp_path, command, field, value
@@ -228,9 +250,15 @@ def test_non_string_vector_is_a_corrupt_cache_line(
     assert lenient.exit_code == 0, lenient.output
 
 
-def test_score_builds_a_record_only_for_each_one_it_skips(runner, tmp_path, monkeypatch):
-    """The cache is read into columns; a ``CveRecord`` is built only for a
-    skipped record, which ``score_records`` reports as one."""
+@pytest.mark.parametrize(
+    "command", [["score"], ["analyze"], ["calibrate", "--n-cal", "100"]], ids=lambda c: c[0]
+)
+def test_score_builds_a_record_only_for_each_one_it_skips(runner, tmp_path, monkeypatch, command):
+    """The cache is read into columns and scored, sampled and calibrated as
+    a batch; a ``CveRecord`` is built only for a skipped record, which
+    ``score_records`` reports as one."""
+    _, skipped = score_records(read_cache(SAMPLE_CACHE, lenient=True), lenient=True)
+    assert len(skipped) == 7
     built = []
     check = CveRecord.__post_init__
 
@@ -240,10 +268,11 @@ def test_score_builds_a_record_only_for_each_one_it_skips(runner, tmp_path, monk
 
     monkeypatch.setattr(CveRecord, "__post_init__", counting)
     out = tmp_path / "out"
-    result = runner.invoke(main, ["score", "--cache", str(SAMPLE_CACHE), "--lenient", "--out", str(out)])
+    result = runner.invoke(main, [*command, "--cache", str(SAMPLE_CACHE), "--lenient", "--out", str(out)])
     assert result.exit_code == 0, result.output
-    skipped = (out / "skip_report.csv").read_text(encoding="utf-8").splitlines()[1:]
-    assert len(skipped) == 7
+    if command == ["score"]:
+        reported = (out / "skip_report.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(reported) == len(skipped)
     assert len(built) <= len(skipped)
 
 
@@ -717,7 +746,9 @@ def test_ingest_network_failure_exit_code(runner, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("id", "CVE-24-1"), ("published", "yesterday")], ids=["id", "published"]
+    "field, value",
+    [("id", "CVE-24-1"), ("id", "CVE-\uff12\uff10\uff12\uff14-0001"), ("published", "yesterday")],
+    ids=["id", "id-non-ascii-digits", "published"],
 )
 def test_ingest_api_item_that_breaks_the_record_contract(runner, tmp_path, monkeypatch, field, value):
     item = api_item("CVE-2024-0001")

@@ -21,6 +21,7 @@ from cverisk.calibration import calibrate_kappa, calibrate_weights, uniform_weig
 from cverisk.model import ModelConfig, composite_score, score_records
 
 import oracles
+from conftest import as_batch
 
 pytestmark = [
     pytest.mark.live,
@@ -100,7 +101,7 @@ def test_calibrated_model_beats_uniform_baseline_on_live_split(usable):
     chosen = {sr.record.cve_id for sr in sample}
     holdout = [sr.record for sr in pool if sr.record.cve_id not in chosen]
 
-    fitted = calibrate_weights(sample)
+    fitted = calibrate_weights(as_batch(sample))
     fitted_scored, _ = score_records(holdout, ModelConfig(weights=fitted))
     officials = [sr.record.official_score for sr in fitted_scored]
     fitted_mae = mae([sr.composite for sr in fitted_scored], officials)

@@ -418,7 +418,9 @@ def test_extract_missing_id_or_published():
 
 
 @pytest.mark.parametrize(
-    "field, value", [("id", "CVE-24-1"), ("published", "yesterday")], ids=["id", "published"]
+    "field, value",
+    [("id", "CVE-24-1"), ("id", "CVE-\uff12\uff10\uff12\uff14-0001"), ("published", "yesterday")],
+    ids=["id", "id-non-ascii-digits", "published"],
 )
 def test_item_that_breaks_the_record_contract_is_an_nvd_error(field, value):
     item = api_item("CVE-2024-0001")

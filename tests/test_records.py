@@ -55,13 +55,14 @@ def test_an_integer_official_score_is_stored_as_float():
     [
         ({"cve_id": "CVE-2024-12345\n"}, "malformed CVE id"),
         ({"cve_id": 12345}, "malformed CVE id"),
+        ({"cve_id": "CVE-\uff12\uff10\uff12\uff14-\u0661\u0662\u0663\u0664"}, "malformed CVE id"),
         ({"description": 5}, "description 5 is not a string"),
         ({"affected_os": ["x"]}, "affected os"),
         ({"official": "7.5"}, "official score '7.5' is not a number"),
         ({"official": 10.5}, r"outside \[0, 10\]"),
         ({"published": "2024-01-03"}, "is not a datetime"),
     ],
-    ids=["id-newline", "id-int", "description", "os", "score-string", "score-range",
+    ids=["id-newline", "id-int", "id-non-ascii-digits", "description", "os", "score-string", "score-range",
          "published-string"],
 )
 def test_record_checks_every_field_by_exact_type(kwargs, message):
