@@ -142,14 +142,17 @@ def correlation_matrix(fm: FactorMatrix) -> CorrelationMatrix:
     ``constant_labels`` instead of being silently zeroed. Needs at least
     two rows.
     """
-    x = fm.rows
-    n = len(x)
-    if n < 2:
-        raise TooFewRowsError(f"need at least 2 rows, got {n}")
-    constant = np.array([bool(np.all(col == col[0])) for col in x.T])
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered
-    scale = np.sqrt(np.diag(cov).copy())
+    if len(fm.rows) < 2:
+        raise TooFewRowsError(f"need at least 2 rows, got {len(fm.rows)}")
+    columns = fm.rows.T.copy()
+    constant = np.array([bool(np.all(col == col[0])) for col in columns])
+    columns -= columns.mean(axis=1, keepdims=True)
+    # One sum per pair, in numpy's fixed order: a BLAS product's summation
+    # order, and so its last bits, depend on the kernel picked for the CPU.
+    cov = np.empty((len(columns),) * 2)
+    for i, j in zip(*np.triu_indices(len(columns))):
+        cov[i, j] = cov[j, i] = (columns[i] * columns[j]).sum()
+    scale = np.sqrt(np.diag(cov))
     scale[constant] = np.nan
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = cov / np.outer(scale, scale)
@@ -157,7 +160,6 @@ def correlation_matrix(fm: FactorMatrix) -> CorrelationMatrix:
     np.fill_diagonal(corr, 1.0)  # constant columns' entries go NaN below
     corr[constant, :] = math.nan
     corr[:, constant] = math.nan
-    corr = np.triu(corr) + np.triu(corr, 1).T  # mirror for exact symmetry
     labels = fm.factor_names
     flagged = tuple(label for label, const in zip(labels, constant) if const)
     return CorrelationMatrix(labels, corr, flagged)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import random
@@ -22,7 +23,7 @@ from .calibration import (
 )
 from .config import ConfigError, load_config, save_config, write_atomic
 from .model import ModelConfig, ScoredBatch, score_records
-from .nvd import IngestWindow, NvdError, WindowTooLargeError, fetch_window
+from .nvd import IngestWindow, NvdError, fetch_window
 from .report import (
     SCORE_HEADER,
     BundleError,
@@ -130,8 +131,6 @@ def ingest(window: str, out_cache: str, api_key_env: str, page_size: int):
     api_key = os.environ.get(api_key_env) or None
     try:
         win = IngestWindow(start=start, end=end, api_key=api_key, page_size=page_size)
-    except WindowTooLargeError as exc:
-        raise click.UsageError(str(exc)) from exc
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     try:
@@ -277,8 +276,6 @@ def report(bundle_dir: str):
     out = Path(bundle_dir)
     summary_path = out / "summary.json"
     try:
-        import json
-
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         _fail(EXIT_IO, f"no summary.json in {bundle_dir}")

@@ -1,16 +1,20 @@
 """End-to-end CLI runs against the packaged sample cache, plus exit-code
 contracts for the usual failure modes."""
 
+import contextlib
 import errno
+import io
 import itertools
 import json
 import os
+import platform
 import random
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -96,49 +100,132 @@ def test_analyze_runs_are_byte_identical(runner, cache_copy, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def _run_cli(args, env=None):
+    """Run the CLI in a fresh interpreter, with ``env`` added to the environment."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cverisk.__file__).parents[1]), **(env or {})}
+    subprocess.run([sys.executable, "-m", "cverisk.cli", *args], env=env, check=True, capture_output=True)
+
+
+def _files_under(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def test_calibrate_reruns_in_separate_processes_are_byte_identical(tmp_path):
     """Separate interpreters get different hash seeds, so set or dict order
-    leaking into the sample or the fit shows up as different files."""
+    leaking into the sample, the fit or any file of ``analyze`` and
+    ``score`` run with the fitted config shows up as different bytes."""
     outputs = []
     for hash_seed in ("1", "2"):
-        out_dir = tmp_path / f"hash-seed-{hash_seed}"
-        env = {
-            **os.environ,
-            "PYTHONPATH": str(Path(cverisk.__file__).parents[1]),
-            "PYTHONHASHSEED": hash_seed,
-        }
-        subprocess.run(
-            [sys.executable, "-m", "cverisk.cli", "calibrate", "--cache", str(SAMPLE_CACHE),
-             "--n-cal", "100", "--seed", "0", "--out", str(out_dir)],
-            env=env, check=True, capture_output=True,
-        )
-        outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
-    assert sorted(outputs[0]) == ["calibration_ids.txt", "model_config.txt"]
+        run_dir = tmp_path / f"hash-seed-{hash_seed}"
+        config, ids = run_dir / "cal" / "model_config.txt", run_dir / "cal" / "calibration_ids.txt"
+        for args in (
+            ["calibrate", "--n-cal", "100", "--seed", "0", "--out", str(run_dir / "cal")],
+            ["analyze", "--lenient", "--config", str(config), "--exclude-ids", str(ids),
+             "--out", str(run_dir / "analyze")],
+            ["score", "--config", str(config), "--out", str(run_dir / "score")],
+        ):
+            _run_cli([*args, "--cache", str(SAMPLE_CACHE)], {"PYTHONHASHSEED": hash_seed})
+        outputs.append(_files_under(run_dir))
+    assert sorted(name for name in outputs[0] if name.startswith("cal")) == [
+        "cal/calibration_ids.txt", "cal/model_config.txt"
+    ]
+    assert {"analyze/summary.json", "score/scores.csv", "score/skip_report.csv"} <= outputs[0].keys()
+    assert outputs[0] == outputs[1]
+    # Every file is written through a temporary file that is renamed or removed.
+    assert not list(tmp_path.rglob(".*.tmp"))
+
+
+def _numpy_uses_openblas():
+    config = io.StringIO()
+    with contextlib.redirect_stdout(config):
+        np.show_config()
+    return "openblas" in config.getvalue().lower()
+
+
+@pytest.mark.skipif(
+    not _numpy_uses_openblas() or platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="numpy's BLAS is not OpenBLAS on x86-64, so OPENBLAS_CORETYPE picks no kernel",
+)
+def test_analyze_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    """OpenBLAS sums a matrix product in an order that depends on the CPU
+    kernel it picks; no such product may reach an output file."""
+    outputs = []
+    for kernel in ("Prescott", "Haswell"):  # SSE3 and AVX2 kernels
+        out_dir = tmp_path / kernel
+        _run_cli(["analyze", "--cache", str(SAMPLE_CACHE), "--lenient", "--out", str(out_dir)],
+                 {"OPENBLAS_CORETYPE": kernel})
+        outputs.append(_files_under(out_dir))
+    assert "correlation_matrix.csv" in outputs[0]
     assert outputs[0] == outputs[1]
 
 
-def _bundle_without_dataset_hash(out_dir):
+def _outputs_without_dataset_hash(out_dir):
     return {
         p.name: [line for line in p.read_bytes().splitlines() if b"dataset_sha256" not in line]
         for p in out_dir.iterdir()
     }
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_analyze_ignores_the_cache_line_order(runner, tmp_path, seed):
+def _shuffled_lines(seed):
+    def rewrite(lines):
+        lines = list(lines)
+        random.Random(seed).shuffle(lines)
+        return lines
+
+    return rewrite
+
+
+def _shuffled_tokens(lines):
+    """Every fixture vector is valid, so its eight tokens in any order after
+    the CVSS:3.0 prefix score the same in lenient mode."""
+    rng = random.Random(11)
+    rewritten = []
+    for line in lines:
+        record = json.loads(line)
+        if record.get("vector_string"):
+            tokens = record["vector_string"].split("/")[1:]
+            rng.shuffle(tokens)
+            record["vector_string"] = "/".join(["CVSS:3.0", *tokens])
+        rewritten.append(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+    return rewritten
+
+
+def _reversed_keys(lines):
+    """The reader maps keys by name and ignores any it does not know."""
+    return [
+        json.dumps({**dict(reversed(json.loads(line).items())), "x_extra": 1}, ensure_ascii=False) + "\n"
+        for line in lines
+    ]
+
+
+@pytest.mark.parametrize(
+    ("rewrite", "commands"),
+    [
+        (_shuffled_lines(0), ["analyze"]),  # score writes its rows in cache order
+        (_shuffled_lines(1), ["analyze"]),
+        (_shuffled_lines(2), ["analyze"]),
+        (_shuffled_tokens, ["score", "analyze"]),
+        (_reversed_keys, ["score", "analyze"]),
+    ],
+    ids=["0", "1", "2", "tokens", "keys"],
+)
+def test_analyze_ignores_the_cache_line_order(runner, tmp_path, rewrite, commands):
+    """Line order, metric order, the minor revision and key order of the
+    cache leave the output as it was, except the bundle's
+    provenance.dataset_sha256."""
     header, *lines = SAMPLE_CACHE.read_text(encoding="utf-8").splitlines(keepends=True)
-    random.Random(seed).shuffle(lines)
-    shuffled = tmp_path / "shuffled.jsonl"
-    shuffled.write_text(header + "".join(lines), encoding="utf-8")
-    bundles = []
-    for name, cache in (("plain", SAMPLE_CACHE), ("shuffled", shuffled)):
-        out_dir = tmp_path / name
-        result = runner.invoke(
-            main, ["analyze", "--cache", str(cache), "--lenient", "--out", str(out_dir)]
-        )
-        assert result.exit_code == 0, result.output
-        bundles.append(_bundle_without_dataset_hash(out_dir))
-    assert bundles[0] == bundles[1]
+    rewritten = tmp_path / "rewritten.jsonl"
+    rewritten.write_text(header + "".join(rewrite(lines)), encoding="utf-8")
+    for command in commands:
+        outputs = []
+        for cache in (SAMPLE_CACHE, rewritten):
+            out_dir = tmp_path / command / cache.stem
+            result = runner.invoke(
+                main, [command, "--cache", str(cache), "--lenient", "--out", str(out_dir)]
+            )
+            assert result.exit_code == 0, result.output
+            outputs.append(_outputs_without_dataset_hash(out_dir))
+        assert outputs[0] == outputs[1]
 
 
 def test_score_command_writes_scores_and_skips(runner, cache_copy, tmp_path):
@@ -239,6 +326,7 @@ def test_non_string_vector_is_a_corrupt_cache_line(
 ):
     lines = cache_copy.read_text(encoding="utf-8").splitlines(keepends=True)
     data = json.loads(lines[5])
+    edited_id = data["cve_id"]
     data[field] = value
     lines[5] = json.dumps(data, sort_keys=True) + "\n"
     cache_copy.write_text("".join(lines), encoding="utf-8")
@@ -248,6 +336,13 @@ def test_non_string_vector_is_a_corrupt_cache_line(
     assert "line 6" in strict.output
     lenient = runner.invoke(main, [*args, "--lenient", "--out", str(tmp_path / "lenient")])
     assert lenient.exit_code == 0, lenient.output
+    if command == ["score"]:  # the commands share the reader: it drops the edited record only
+        clean = runner.invoke(main, ["score", "--cache", str(SAMPLE_CACHE), "--out", str(tmp_path / "clean")])
+        assert clean.exit_code == 0, clean.output
+        for name in ("scores.csv", "skip_report.csv"):
+            rows = (tmp_path / "clean" / name).read_text(encoding="utf-8").splitlines()
+            kept = (tmp_path / "lenient" / name).read_text(encoding="utf-8").splitlines()
+            assert kept == [row for row in rows if not row.startswith(f"{edited_id},")]
 
 
 @pytest.mark.parametrize(
@@ -819,12 +914,17 @@ def test_ingest_window_that_lists_one_id_twice(runner, tmp_path, monkeypatch):
 
 
 def test_ingest_rejects_oversized_window(runner, tmp_path):
-    result = runner.invoke(
-        main,
-        ["ingest", "--window", "2024-01-01..2024-12-31", "--out-cache", str(tmp_path / "c.jsonl")],
-    )
-    assert result.exit_code == 2
-    assert "120 days" in result.output
+    for window, extra, message in (
+        ("2024-01-01..2024-12-31", [], "120 days"),
+        ("2024-02-01..2024-01-01", [], "window start must precede end"),
+        ("2024-01-01..2024-01-15", ["--page-size", "0"], "page_size must lie in [1, 2000]"),
+        ("2024-01-01..2024-01-15", ["--page-size", "2001"], "page_size must lie in [1, 2000]"),
+    ):
+        result = runner.invoke(
+            main, ["ingest", "--window", window, "--out-cache", str(tmp_path / "c.jsonl"), *extra]
+        )
+        assert result.exit_code == 2, (window, extra)
+        assert message in result.output
 
 
 def test_ingest_rejects_malformed_window(runner, tmp_path):
