@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -24,6 +25,7 @@ from .calibration import (
 from .config import ConfigError, load_config, save_config, write_atomic
 from .model import ModelConfig, ScoredBatch, score_records
 from .nvd import IngestWindow, NvdError, fetch_window
+from .records import CVE_ID_PATTERN
 from .report import (
     SCORE_HEADER,
     BundleError,
@@ -42,13 +44,34 @@ EXIT_NETWORK = 4
 EXIT_IO = 5
 
 
-class InsufficientRecordsError(ValueError):
-    """Fewer calibratable records than the requested sample size."""
-
-
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+@contextlib.contextmanager
+def _reading(what: str, path, bad):
+    """Exit on a failure to read input file ``path``: 5 if it is missing or
+    unreadable, 3 if it is not UTF-8 or its content raises ``bad``."""
+    try:
+        yield
+    except FileNotFoundError:
+        _fail(EXIT_IO, f"{what} not found: {path}")
+    except UnicodeDecodeError as exc:
+        _fail(EXIT_DATA, f"{what} {path} is not UTF-8: {exc}")
+    except bad as exc:
+        _fail(EXIT_DATA, f"bad {what} {path}: {exc}")
+    except OSError as exc:
+        _fail(EXIT_IO, f"cannot read {what} {path}: {exc}")
+
+
+@contextlib.contextmanager
+def _writing(target):
+    """Exit 5 on a failure to write output to ``target``."""
+    try:
+        yield
+    except OSError as exc:
+        _fail(EXIT_IO, f"cannot write to {target}: {exc}")
 
 
 def _parse_window(text: str) -> tuple[datetime, datetime]:
@@ -69,16 +92,8 @@ def _parse_window(text: str) -> tuple[datetime, datetime]:
 
 
 def _read_cache_or_fail(path: str, lenient: bool):
-    try:
-        header = read_header(path)
-        records = read_cache(path, lenient=lenient)
-    except FileNotFoundError:
-        _fail(EXIT_IO, f"cache not found: {path}")
-    except CacheError as exc:
-        _fail(EXIT_DATA, f"bad cache {path}: {exc}")
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot read cache {path}: {exc}")
-    return header, records
+    with _reading("cache", path, CacheError):
+        return read_header(path), read_cache(path, lenient=lenient)
 
 
 def _load_model_config(config_path: str | None, baseline: str | None) -> ModelConfig:
@@ -89,14 +104,8 @@ def _load_model_config(config_path: str | None, baseline: str | None) -> ModelCo
             raise click.UsageError(f"unknown baseline {baseline!r}")
         return ModelConfig(weights=uniform_weights())
     if config_path:
-        try:
+        with _reading("config", config_path, ConfigError):
             return load_config(config_path)
-        except FileNotFoundError:
-            _fail(EXIT_IO, f"config not found: {config_path}")
-        except ConfigError as exc:
-            _fail(EXIT_DATA, f"bad config {config_path}: {exc}")
-        except OSError as exc:
-            _fail(EXIT_IO, f"cannot read config {config_path}: {exc}")
     return ModelConfig()
 
 
@@ -135,14 +144,12 @@ def ingest(window: str, out_cache: str, api_key_env: str, page_size: int):
         raise click.UsageError(str(exc)) from exc
     try:
         records = fetch_window(win)
+        with _writing(out_cache):
+            write_cache(records, out_cache)
     except NvdError as exc:
         _fail(EXIT_NETWORK, str(exc))
-    try:
-        write_cache(records, out_cache)
     except DuplicateIdError as exc:
         _fail(EXIT_NETWORK, f"the NVD window lists {exc.cve_id} more than once; no cache written")
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot write cache {out_cache}: {exc}")
     click.echo(f"wrote {len(records)} records to {out_cache}")
 
 
@@ -152,9 +159,7 @@ def _calibration_sample(records, n_cal: int, seed: int, lenient: bool) -> Scored
     pool = [k for k, official in enumerate(columns.officials) if official is not None]
     pool.sort(key=columns.ids.__getitem__)  # positions of the usable records, in id order
     if len(pool) < n_cal:
-        raise InsufficientRecordsError(
-            f"need {n_cal} records with a vector and an official score, have {len(pool)}"
-        )
+        _fail(EXIT_DATA, f"need {n_cal} records with a vector and an official score, have {len(pool)}")
     return scoreable[random.Random(seed).sample(pool, n_cal)]
 
 
@@ -170,22 +175,17 @@ def _calibration_sample(records, n_cal: int, seed: int, lenient: bool) -> Scored
 def calibrate(cache_path: str, out_dir: str, n_cal: int, seed: int, grid_step: float, strict: bool):
     """Fit model weights against official scores on a seeded sample."""
     _, records = _read_cache_or_fail(cache_path, lenient=not strict)
+    sample = _calibration_sample(records, n_cal, seed, lenient=not strict)
     try:
-        sample = _calibration_sample(records, n_cal, seed, lenient=not strict)
         weights = calibrate_weights(sample, grid_step=grid_step)
-    except (
-        InsufficientRecordsError, EmptyCalibrationSetError, BadGridStepError, OffGridError
-    ) as exc:
+    except (EmptyCalibrationSetError, BadGridStepError, OffGridError) as exc:
         _fail(EXIT_DATA, str(exc))
-    config = ModelConfig(weights=weights)
     out = Path(out_dir)
-    try:
+    with _writing(out_dir):
         out.mkdir(parents=True, exist_ok=True)
-        save_config(config, out / "model_config.txt")
+        save_config(ModelConfig(weights=weights), out / "model_config.txt")
         ids = "".join(f"{cve_id}\n" for cve_id in sorted(sample.records.ids))
         write_atomic(out / "calibration_ids.txt", [ids])
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot write to {out_dir}: {exc}")
     click.echo(
         f"calibrated on {len(sample)} records: "
         f"alpha={weights.alpha:g} beta={weights.beta:g} gamma={weights.gamma:g} "
@@ -210,7 +210,7 @@ def score(cache_path: str, config_path: str | None, baseline: str | None, out_di
     if not scored:
         _fail(EXIT_DATA, "no record in the cache could be scored")
     out = Path(out_dir)
-    try:
+    with _writing(out_dir):
         out.mkdir(parents=True, exist_ok=True)
         write_csv(out / "scores.csv", SCORE_HEADER, score_rows(scored))
         write_csv(
@@ -218,21 +218,18 @@ def score(cache_path: str, config_path: str | None, baseline: str | None, out_di
             ("cve_id", "reason"),
             sorted((rec.cve_id, reason) for rec, reason in skipped),
         )
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot write to {out_dir}: {exc}")
     click.echo(f"scored {len(scored)} records ({len(skipped)} skipped)")
 
 
 def _read_id_file(path: str) -> frozenset:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError:
-        _fail(EXIT_IO, f"id file not found: {path}")
-    except UnicodeDecodeError as exc:
-        _fail(EXIT_DATA, f"id file {path} is not UTF-8: {exc}")
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot read id file {path}: {exc}")
-    return frozenset(line.strip() for line in lines if line.strip())
+    """The ids of a file with one CVE id per line; blank lines and a leading
+    byte order mark are ignored, and any other line is an error."""
+    with _reading("id file", path, ValueError):
+        ids = [line.strip() for line in Path(path).read_text(encoding="utf-8-sig").splitlines()]
+        for line_no, cve_id in enumerate(ids, start=1):
+            if cve_id and not CVE_ID_PATTERN.fullmatch(cve_id):
+                raise ValueError(f"line {line_no}: {cve_id!r} is not a CVE id")
+    return frozenset(filter(None, ids))
 
 
 @main.command()
@@ -262,10 +259,8 @@ def analyze(cache_path, config_path, baseline, out_dir, seed, exclude_path, fmt,
         )
     except (EmptyDatasetError, UnscoreableAllError) as exc:
         _fail(EXIT_DATA, str(exc))
-    try:
+    with _writing(out_dir):
         written = write_bundle(bundle, out_dir, fmt)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot write to {out_dir}: {exc}")
     click.echo(f"wrote {len(written)} files to {out_dir}")
 
 
@@ -292,10 +287,8 @@ def report(bundle_dir: str):
         _fail(EXIT_IO, f"cannot read {bundle_dir}: {exc}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         _fail(EXIT_DATA, f"summary.json is malformed: {exc!r}")
-    try:
+    with _writing(bundle_dir):
         write_atomic(out / "executive_summary.txt", [text])
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot write executive summary: {exc}")
     click.echo(text, nl=False)
 
 

@@ -111,8 +111,8 @@ class ScoredBatch(Sequence):
     """Scored records (as ``RecordColumns``): one ``_score_vector`` tuple
     per distinct vector code in ``table``, each record's row of it in
     ``rows``, and columns gathered from the table on first use. ``batch[k]``
-    is a ``ScoredRecord``; a slice, boolean mask or index array (or list)
-    gives a sub-batch over the same table and thresholds."""
+    is a ``ScoredRecord``; a slice, or a boolean mask or positions as an
+    array or a list, gives a sub-batch over the same table and thresholds."""
 
     records: RecordColumns
     table: Sequence[tuple]
@@ -125,8 +125,7 @@ class ScoredBatch(Sequence):
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             return ScoredRecord(self.records[key], *self.table[self.rows[key]])
-        index = np.arange(len(self))[key]
-        return replace(self, records=self.records[index], rows=self.rows[index])
+        return replace(self, records=self.records[key], rows=self.rows[key])
 
     def _column(self, k: int, dtype=float) -> np.ndarray:
         return np.array([entry[k] for entry in self.table], dtype=dtype)[self.rows]

@@ -90,9 +90,9 @@ class CveRecord:
 @dataclass(frozen=True, eq=False)
 class RecordColumns(Sequence):
     """``CveRecord``s stored as one list per field, in field order, and
-    built on access: ``columns[k]`` is record k, and a slice, a numpy
-    boolean mask or index array, or a list of positions gives a
-    sub-container. It equals a list of the same records."""
+    built on access: ``columns[k]`` is record k, and any key numpy reads
+    as an index (a slice, a boolean mask, an array or list of positions)
+    gives a sub-container. It equals a list of the same records."""
 
     ids: list[str]
     descriptions: list[str]
@@ -115,7 +115,7 @@ class RecordColumns(Sequence):
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             return CveRecord(*(column[key] for column in vars(self).values()))
-        index = key if isinstance(key, list) else np.arange(len(self))[key].tolist()
+        index = np.arange(len(self))[key].tolist()
         return RecordColumns(*([column[k] for k in index] for column in vars(self).values()))
 
     def __eq__(self, other) -> bool:

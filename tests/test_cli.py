@@ -113,7 +113,9 @@ def _files_under(root):
 def test_calibrate_reruns_in_separate_processes_are_byte_identical(tmp_path):
     """Separate interpreters get different hash seeds, so set or dict order
     leaking into the sample, the fit or any file of ``analyze`` and
-    ``score`` run with the fitted config shows up as different bytes."""
+    ``score`` run with the fitted config shows up as different bytes. A
+    file opened without an explicit encoding would follow the locale, so
+    it is an error here."""
     outputs = []
     for hash_seed in ("1", "2"):
         run_dir = tmp_path / f"hash-seed-{hash_seed}"
@@ -124,7 +126,11 @@ def test_calibrate_reruns_in_separate_processes_are_byte_identical(tmp_path):
              "--out", str(run_dir / "analyze")],
             ["score", "--config", str(config), "--out", str(run_dir / "score")],
         ):
-            _run_cli([*args, "--cache", str(SAMPLE_CACHE)], {"PYTHONHASHSEED": hash_seed})
+            _run_cli([*args, "--cache", str(SAMPLE_CACHE)], {
+                "PYTHONHASHSEED": hash_seed,
+                "PYTHONWARNDEFAULTENCODING": "1",
+                "PYTHONWARNINGS": "error::EncodingWarning",
+            })
         outputs.append(_files_under(run_dir))
     assert sorted(name for name in outputs[0] if name.startswith("cal")) == [
         "cal/calibration_ids.txt", "cal/model_config.txt"
@@ -459,6 +465,58 @@ def test_non_utf8_exclude_file_is_data_error(runner, cache_copy, tmp_path):
     assert "not UTF-8" in result.output
 
 
+# Per input: the option that names it (None for report's summary.json), bytes
+# that it cannot hold, and the message prefix when it is missing, unreadable
+# or malformed.
+INPUTS = {
+    "cache": ("--cache", b'{"schema": "cve-cache/1", "count": 1}\n{broken\n',
+              ("cache not found: {path}", "cannot read cache {path}: ", "bad cache {path}: ")),
+    "config": ("--config", b"alpha = banana\n",
+               ("config not found: {path}", "cannot read config {path}: ", "bad config {path}: ")),
+    "exclude-ids": ("--exclude-ids", b"CVE-2024-10000\n\xff\n",
+                    ("id file not found: {path}", "cannot read id file {path}: ",
+                     "id file {path} is not UTF-8: ")),
+    "summary.json": (None, b"{broken",
+                     ("no summary.json in {bundle}", "cannot read {path}: ",
+                      "summary.json is not valid JSON: ")),
+}
+
+
+@pytest.mark.parametrize(("failure", "code"), [("missing", 5), ("unreadable", 5), ("malformed", 3)])
+@pytest.mark.parametrize("name", list(INPUTS))
+def test_an_input_that_cannot_be_used_exits_with_one_error_line(
+    runner, cache_copy, tmp_path, monkeypatch, name, failure, code
+):
+    option, malformed, prefixes = INPUTS[name]
+    bundle = tmp_path / "bundle"
+    if option is None:
+        analyze = runner.invoke(main, ["analyze", "--cache", str(cache_copy), "--out", str(bundle)])
+        assert analyze.exit_code == 0, analyze.output
+        path, args = bundle / "summary.json", ["report", "--bundle", str(bundle)]
+    else:
+        path = cache_copy if option == "--cache" else tmp_path / name
+        args = ["analyze", "--cache", str(cache_copy), option, str(path), "--out", str(bundle)]
+    if failure == "missing":
+        path.unlink(missing_ok=True)
+    else:
+        path.write_bytes(malformed)
+    if failure == "unreadable":
+        real_open = Path.open
+
+        def eio(self, *rest, **kwargs):
+            if self == path:
+                raise OSError(errno.EIO, "Input/output error")
+            return real_open(self, *rest, **kwargs)
+
+        monkeypatch.setattr(Path, "open", eio)
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, result.output
+    prefix = prefixes[["missing", "unreadable", "malformed"].index(failure)]
+    assert errors[0].startswith(f"error: {prefix.format(path=path, bundle=bundle)}"), errors
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("lenient", [False, True])
 def test_calibration_sample_draws_from_the_id_sorted_pool(seed, lenient):
@@ -676,6 +734,34 @@ def test_analyze_missing_exclude_file(runner, cache_copy, tmp_path):
          "--out", str(tmp_path / "o")],
     )
     assert result.exit_code == 5
+
+
+def test_exclude_file_with_a_byte_order_mark_excludes_its_first_id(runner, cache_copy, tmp_path):
+    ids = tmp_path / "ids.txt"
+    ids.write_text("\ufeffCVE-2024-10000\nCVE-2024-10001\n", encoding="utf-8")
+    out = tmp_path / "o"
+    result = runner.invoke(
+        main, ["analyze", "--cache", str(cache_copy), "--exclude-ids", str(ids), "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / "summary.json").read_text(encoding="utf-8"))["dataset"][
+        "records_excluded"
+    ] == 2
+    scores = (out / "model_scores.csv").read_text(encoding="utf-8")
+    assert "CVE-2024-10000," not in scores and "CVE-2024-10001," not in scores
+
+
+def test_exclude_file_line_that_is_not_an_id_is_data_error(runner, cache_copy, tmp_path):
+    ids = tmp_path / "ids.txt"
+    ids.write_text("CVE-2024-10000\n\n  CVE-2024-1000l  \n", encoding="utf-8")
+    result = runner.invoke(
+        main,
+        ["analyze", "--cache", str(cache_copy), "--exclude-ids", str(ids),
+         "--out", str(tmp_path / "o")],
+    )
+    assert result.exit_code == 3, result.output
+    assert f"error: bad id file {ids}: line 3: 'CVE-2024-1000l' is not a CVE id" in result.output
+    assert not (tmp_path / "o").exists()
 
 
 def test_analyze_format_choice_is_validated(runner, cache_copy, tmp_path):

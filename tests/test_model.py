@@ -386,6 +386,17 @@ def test_sub_batches_keep_record_order_table_and_thresholds():
         batch[n]
 
 
+def test_a_list_of_bools_is_a_mask_for_records_and_batches():
+    records = read_cache(SAMPLE_CACHE)
+    batch, _ = score_records(records)
+    for container in (records, batch):
+        n = len(container)
+        mask = [k % 3 == 1 for k in range(n)]
+        assert list(container[mask]) == [container[k] for k in range(1, n, 3)]
+        with pytest.raises(IndexError):
+            container[[True, False, True]]
+
+
 def test_exhaustive_scoring_matches_bruteforce_classification(all_scored):
     assert len(all_scored) == 2592
     counts = Counter(sr.severity for sr in all_scored)
