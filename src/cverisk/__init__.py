@@ -18,14 +18,12 @@ from .model import (
     ModelConfig,
     ModelWeights,
     ScoredRecord,
-    ScoringError,
     Severity,
     SeverityThresholds,
     base_risk,
     classify,
     composite_score,
     impact_score,
-    score_record,
     score_records,
 )
 from .calibration import calibrate_kappa, calibrate_weights, uniform_weights
@@ -46,7 +44,6 @@ __all__ = [
     "PrivilegesRequired",
     "Scope",
     "ScoredRecord",
-    "ScoringError",
     "Severity",
     "SeverityThresholds",
     "UserInteraction",
@@ -59,7 +56,6 @@ __all__ = [
     "encode_factors",
     "impact_score",
     "parse_vector",
-    "score_record",
     "score_records",
     "serialize_vector",
     "uniform_weights",

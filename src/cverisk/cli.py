@@ -204,8 +204,8 @@ def calibrate(cache_path: str, out_dir: str, n_cal: int, seed: int, grid_step: f
 @click.option("--strict/--lenient", "strict", default=True)
 def score(cache_path: str, config_path: str | None, baseline: str | None, out_dir: str, strict: bool):
     """Score every record in a cache and write scores.csv."""
-    _, records = _read_cache_or_fail(cache_path, lenient=not strict)
     config = _load_model_config(config_path, baseline)
+    _, records = _read_cache_or_fail(cache_path, lenient=not strict)
     scored, skipped = score_records(records, config, lenient=not strict)
     if not scored:
         _fail(EXIT_DATA, "no record in the cache could be scored")
@@ -213,11 +213,7 @@ def score(cache_path: str, config_path: str | None, baseline: str | None, out_di
     with _writing(out_dir):
         out.mkdir(parents=True, exist_ok=True)
         write_csv(out / "scores.csv", SCORE_HEADER, score_rows(scored))
-        write_csv(
-            out / "skip_report.csv",
-            ("cve_id", "reason"),
-            sorted((rec.cve_id, reason) for rec, reason in skipped),
-        )
+        write_csv(out / "skip_report.csv", ("cve_id", "reason"), sorted(skipped))
     click.echo(f"scored {len(scored)} records ({len(skipped)} skipped)")
 
 
@@ -245,9 +241,9 @@ def _read_id_file(path: str) -> frozenset:
 @click.option("--strict/--lenient", "strict", default=True)
 def analyze(cache_path, config_path, baseline, out_dir, seed, exclude_path, fmt, strict):
     """Run the full analysis over a cache and write the report bundle."""
-    header, records = _read_cache_or_fail(cache_path, lenient=not strict)
     config = _load_model_config(config_path, baseline)
     exclude = _read_id_file(exclude_path) if exclude_path else frozenset()
+    header, records = _read_cache_or_fail(cache_path, lenient=not strict)
     try:
         bundle = build_bundle(
             records,

@@ -77,10 +77,10 @@ def config_from_dict(values: dict[str, float]) -> ModelConfig:
 
 
 def load_config(path) -> ModelConfig:
-    """Parse a key = value configuration file."""
+    """Parse a key = value configuration file; a leading byte order mark is ignored."""
     values: dict[str, float] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"not UTF-8: {exc}") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):

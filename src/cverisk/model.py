@@ -86,15 +86,6 @@ class ModelConfig:
     thresholds: SeverityThresholds = field(default_factory=SeverityThresholds)
 
 
-class ScoringError(ValueError):
-    """A record could not be scored; carries the CVE id for diagnostics."""
-
-    def __init__(self, cve_id: str, reason: str) -> None:
-        super().__init__(f"{cve_id}: {reason}")
-        self.cve_id = cve_id
-        self.reason = reason
-
-
 @dataclass(frozen=True)
 class ScoredRecord:
     record: CveRecord
@@ -215,32 +206,15 @@ def _score_vector(vector: CvssVector, config: ModelConfig) -> tuple:
     return vector, factors, rb, impact, composite, classify(composite, config.thresholds)
 
 
-def score_record(
-    record: CveRecord, config: ModelConfig | None = None, *, lenient: bool = False
-) -> ScoredRecord:
-    """Parse, encode, and score one record.
-
-    Raises ``ScoringError`` tagged with the CVE id when the record has no
-    vector string or the string fails to parse.
-    """
-    if not record.vector_string:
-        raise ScoringError(record.cve_id, _NO_VECTOR)
-    try:
-        vector = parse_vector(record.vector_string, lenient=lenient)
-    except VectorError as exc:
-        raise ScoringError(record.cve_id, str(exc)) from exc
-    return ScoredRecord(record, *_score_vector(vector, config or ModelConfig()))
-
-
 def score_records(
     records: Iterable[CveRecord], config: ModelConfig | None = None, *, lenient: bool = False
-) -> tuple[ScoredBatch, list[tuple[CveRecord, str]]]:
-    """Score a batch; unscoreable records come back as (record, reason) pairs.
+) -> tuple[ScoredBatch, list[tuple[str, str]]]:
+    """Score a batch; unscoreable records come back as (cve_id, reason) pairs.
 
-    Gives the same results as ``score_record`` per record, but parses each
-    distinct vector string and scores each distinct vector code once, into
-    one row of the batch's table. Only skipped records are built as
-    ``CveRecord``s; the batch selects the kept ones' columns.
+    Parses each distinct vector string and scores each distinct vector code
+    once, into one row of the batch's table; a record scores the same alone
+    as in any batch. No ``CveRecord`` is built: the batch selects the kept
+    records' columns.
     """
     config = config or ModelConfig()
     records = RecordColumns.of(records)
@@ -249,7 +223,7 @@ def score_records(
     table: list[tuple] = []
     kept: list[int] = []
     rows: list[int] = []
-    skipped: list[tuple[CveRecord, str]] = []
+    skipped: list[tuple[str, str]] = []
     for k, text in enumerate(records.vectors):
         row = by_string.get(text) if text else _NO_VECTOR
         if row is None:
@@ -263,7 +237,7 @@ def score_records(
                     table.append(_score_vector(vector, config))
             by_string[text] = row
         if isinstance(row, str):
-            skipped.append((records[k], row))
+            skipped.append((records.ids[k], row))
         else:
             kept.append(k)
             rows.append(row)

@@ -10,7 +10,7 @@ import json
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass
 from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
@@ -36,9 +36,9 @@ from .analytics import (
     mae,
     spearman_rho,
 )
-from .calibration import calibrate_kappa, uniform_weights
+from .calibration import DEFAULT_KAPPA_RANGE, fit_kappa, uniform_weights
 from .config import config_to_dict, write_atomic
-from .model import ModelConfig, ScoredBatch, _score_vector, composite_score, score_records
+from .model import ModelConfig, ScoredBatch, base_risk, composite_score, impact_score, score_records
 from .records import CveRecord, RecordColumns
 
 SCORE_BINS = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
@@ -166,8 +166,8 @@ def score_rows(scored: ScoredBatch) -> CsvLines:
     ``ids`` and ``officials`` record columns and its table; a missing
     official score is a blank cell. The score cells are rendered once per
     vector code, with ``repr()`` as ``csv.writer`` renders a float. No cell
-    needs quoting: record ids match ``CVE-\\d{4}-\\d{4,}`` (checked when
-    read) and severity labels are single words."""
+    needs quoting: record ids match ``CVE-[0-9]{4}-[0-9]{4,}`` (checked
+    when read) and severity labels are single words."""
     cells = [
         f"{rb!r},{impact!r},{sv!r},{severity.label}\n"
         for _, _, rb, impact, sv, severity in scored.table
@@ -189,14 +189,16 @@ def _keyed_lines(ids: list[str], keys: list[int], cells: list[str]) -> CsvLines:
 def _method_comparison(scored: ScoredBatch, config: ModelConfig) -> list[tuple]:
     """Model-vs-official agreement for the active config and for the
     equal-weight preset with its scale refit on the same records; the
-    preset scores each distinct vector code (table row) once."""
+    preset's base risk and impact are taken once per distinct vector code
+    (table row)."""
     officials = scored.officials
     delta = config.weights.delta
-    preset_cfg = ModelConfig(config.maps, uniform_weights(delta=delta), config.thresholds)
-    preset = replace(scored, table=[_score_vector(v, preset_cfg) for v, *_ in scored.table])
-    kappa = calibrate_kappa(preset, delta=delta)
+    uniform = uniform_weights(delta=delta)
+    preset = [(base_risk(v, config.maps, uniform), impact_score(v, uniform)) for v, *_ in scored.table]
+    products = np.array([10.0 * rb * impact for rb, impact in preset])
+    kappa = fit_kappa(products[scored.rows], officials, *DEFAULT_KAPPA_RANGE, delta)
     refit = uniform_weights(kappa, delta=delta)
-    preset_scores = np.array([composite_score(*row[2:4], refit) for row in preset.table])
+    preset_scores = np.array([composite_score(rb, impact, refit) for rb, impact in preset])
     return [
         (method, mae(scores, officials), _safe_spearman(scores, officials), method_kappa)
         for method, scores, method_kappa in (
@@ -231,12 +233,10 @@ def build_bundle(
         raise EmptyDatasetError("no records to analyze after exclusions")
 
     scored_all, skipped = score_records(records[kept], config, lenient=lenient)
-    has_official = np.array([o is not None for o in scored_all.records.officials], dtype=bool)
-    skip_rows = sorted(
-        [(rec.cve_id, reason) for rec, reason in skipped]
-        + [(cve_id, "no official score") for cve_id in scored_all[~has_official].records.ids]
-    )
-    scored = scored_all[has_official]
+    columns = scored_all.records
+    no_official = [cid for cid, o in zip(columns.ids, columns.officials) if o is None]
+    skip_rows = sorted(skipped + [(cid, "no official score") for cid in no_official])
+    scored = scored_all[[o is not None for o in columns.officials]]
     if not scored:
         raise UnscoreableAllError("no record has both a parseable vector and an official score")
 

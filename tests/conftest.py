@@ -54,6 +54,12 @@ def make_record(
     )
 
 
+def score_one(record: CveRecord, config=None, *, lenient: bool = False):
+    """``record`` scored alone: its ``ScoredRecord``, or its skip reason."""
+    scored, skipped = score_records([record], config, lenient=lenient)
+    return scored[0] if scored else skipped[0][1]
+
+
 def as_batch(scored_records) -> ScoredBatch:
     """``ScoredRecord``s built one by one as a ``ScoredBatch``, one table
     row per record, under the default thresholds."""

@@ -37,7 +37,6 @@ from cverisk.model import (
     classify,
     composite_score,
     impact_score,
-    score_record,
     score_records,
 )
 from cverisk.vector import VectorError, parse_vector, serialize_vector

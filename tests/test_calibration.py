@@ -21,12 +21,12 @@ from cverisk.calibration import (
     fit_kappa,
     uniform_weights,
 )
-from cverisk.model import GRID_TOLERANCE, ModelConfig, ModelWeights, score_record
+from cverisk.model import GRID_TOLERANCE, ModelConfig, ModelWeights
 
 import oracles
-from conftest import as_batch, make_record
+from conftest import as_batch, make_record, score_one
 
-TEMPLATE = score_record(make_record())
+TEMPLATE = score_one(make_record())
 
 
 def fake_scored(product, official, k=0):
@@ -41,9 +41,9 @@ def planted_kappa_set(kappa0, vectors, delta=0.1):
     cfg = ModelConfig(weights=w)
     out = []
     for k, vs in enumerate(vectors):
-        probe = score_record(make_record(cve_id=f"CVE-2024-{40000 + k}", vector=vs, official=None), cfg)
+        probe = score_one(make_record(cve_id=f"CVE-2024-{40000 + k}", vector=vs, official=None), cfg)
         rec = make_record(cve_id=f"CVE-2024-{40000 + k}", vector=vs, official=probe.composite)
-        out.append(score_record(rec))
+        out.append(score_one(rec))
     return out
 
 
@@ -137,9 +137,9 @@ def test_calibrate_weights_recovers_planted_config(all_scored):
     cfg = ModelConfig(weights=planted)
     cal = []
     for k, vs in enumerate(diverse_vectors(all_scored, lo=1.0, hi=8.0, limit=60)):
-        probe = score_record(make_record(cve_id=f"CVE-2024-{50000 + k}", vector=vs, official=None), cfg)
+        probe = score_one(make_record(cve_id=f"CVE-2024-{50000 + k}", vector=vs, official=None), cfg)
         rec = make_record(cve_id=f"CVE-2024-{50000 + k}", vector=vs, official=probe.composite)
-        cal.append(score_record(rec))
+        cal.append(score_one(rec))
     got = calibrate_weights(
         as_batch(cal), grid_step=0.25, lambda_grid=(0.5, 1.0), kappa_range=(1.0, 1.6, 0.1)
     )
@@ -157,7 +157,7 @@ def test_calibrate_weights_tie_breaks_lexicographically():
             vector="CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:N/I:N/A:N",
             official=0.0,
         )
-        cal.append(score_record(rec))
+        cal.append(score_one(rec))
     got = calibrate_weights(as_batch(cal), grid_step=0.5)
     assert (got.alpha, got.beta, got.gamma) == (0.0, 0.0, 1.0)
     assert (got.lambda_c, got.lambda_i, got.lambda_a) == (0.25, 0.25, 0.25)
@@ -180,12 +180,12 @@ def test_calibrate_weights_is_argmin_over_its_grid(sample_scored):
 
     def in_sample_mse(weights):
         cfg = ModelConfig(weights=weights)
-        scores = [score_record(sr.record, cfg).composite for sr in cal]
+        scores = [score_one(sr.record, cfg).composite for sr in cal]
         return sum((s - o) ** 2 for s, o in zip(scores, officials)) / len(cal)
 
     def mse_with_kappa_refit(alpha, beta, gamma, lambdas):
         probe = ModelConfig(weights=ModelWeights(alpha, beta, gamma, *lambdas))
-        rescored = [score_record(sr.record, probe) for sr in cal]
+        rescored = [score_one(sr.record, probe) for sr in cal]
         kappa = calibrate_kappa(as_batch(rescored))
         return in_sample_mse(ModelWeights(alpha, beta, gamma, *lambdas, kappa))
 
@@ -218,7 +218,7 @@ def seeded_set(all_scored, seed, n=30):
         rec = make_record(
             cve_id=f"CVE-2024-{70000 + k}", vector=sr.record.vector_string, official=official
         )
-        cal.append(score_record(rec))
+        cal.append(score_one(rec))
     return cal
 
 
@@ -259,7 +259,7 @@ def test_search_score_units_equal_scalar_composites(sample_scored):
     units = _score_units(products, w.kappa, out=np.empty_like(products))
     cfg = ModelConfig(weights=w)
     for sr, group in zip(cal, groups.member):
-        assert units[group, 0] == round(score_record(sr.record, cfg).composite * 10)
+        assert units[group, 0] == round(score_one(sr.record, cfg).composite * 10)
 
 
 def test_calibrate_weights_rejects_off_grid_officials():

@@ -23,12 +23,12 @@ import cverisk.cli as cli_module
 from cverisk import __version__
 from cverisk.cache import read_cache, write_cache
 from cverisk.cli import main
-from cverisk.model import ScoringError, score_record, score_records
+from cverisk.model import score_records
 from cverisk.nvd import NetworkError, RateLimiter, fetch_window
 from cverisk.records import CveRecord
 from cverisk.report import CsvLines, score_rows
 
-from conftest import SAMPLE_CACHE, make_record
+from conftest import SAMPLE_CACHE, make_record, score_one
 from test_nvd import FakeResponse, FakeSession, api_item, page_payload
 
 
@@ -354,10 +354,10 @@ def test_non_string_vector_is_a_corrupt_cache_line(
 @pytest.mark.parametrize(
     "command", [["score"], ["analyze"], ["calibrate", "--n-cal", "100"]], ids=lambda c: c[0]
 )
-def test_score_builds_a_record_only_for_each_one_it_skips(runner, tmp_path, monkeypatch, command):
+def test_commands_build_no_record(runner, tmp_path, monkeypatch, command):
     """The cache is read into columns and scored, sampled and calibrated as
-    a batch; a ``CveRecord`` is built only for a skipped record, which
-    ``score_records`` reports as one."""
+    a batch; ``score_records`` reports a skipped record by its id, so no
+    ``CveRecord`` is built, not even for the skipped ones."""
     _, skipped = score_records(read_cache(SAMPLE_CACHE, lenient=True), lenient=True)
     assert len(skipped) == 7
     built = []
@@ -374,7 +374,7 @@ def test_score_builds_a_record_only_for_each_one_it_skips(runner, tmp_path, monk
     if command == ["score"]:
         reported = (out / "skip_report.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert len(reported) == len(skipped)
-    assert len(built) <= len(skipped)
+    assert built == []
 
 
 def test_a_vector_that_does_not_parse_is_skipped_in_both_modes(runner, cache_copy, tmp_path):
@@ -523,11 +523,8 @@ def test_calibration_sample_draws_from_the_id_sorted_pool(seed, lenient):
     records = read_cache(SAMPLE_CACHE)
     pool = []
     for record in sorted(records, key=lambda r: r.cve_id):
-        try:
-            sr = score_record(record, lenient=lenient)
-        except ScoringError:
-            continue
-        if record.official_score is not None:
+        sr = score_one(record, lenient=lenient)
+        if not isinstance(sr, str) and record.official_score is not None:
             pool.append(sr)
     expected = random.Random(seed).sample(pool, 60)
     assert list(cli_module._calibration_sample(records, 60, seed, lenient)) == expected
@@ -762,6 +759,30 @@ def test_exclude_file_line_that_is_not_an_id_is_data_error(runner, cache_copy, t
     assert result.exit_code == 3, result.output
     assert f"error: bad id file {ids}: line 3: 'CVE-2024-1000l' is not a CVE id" in result.output
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    ("args", "code", "message"),
+    [
+        (["analyze", "--config", "{tmp}/missing.txt"], 5, "config not found"),
+        (["analyze", "--exclude-ids", "{tmp}/ids.txt"], 3, "is not a CVE id"),
+        (["score", "--config", "x", "--baseline", "uniform"], 2, "mutually exclusive"),
+    ],
+    ids=["missing-config", "bad-id-file", "config-and-baseline"],
+)
+def test_option_files_are_checked_before_the_cache_is_read(
+    runner, cache_copy, tmp_path, monkeypatch, args, code, message
+):
+    (tmp_path / "ids.txt").write_text("CVE-2024-10000\nnot an id\n", encoding="utf-8")
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the cache was read")
+
+    monkeypatch.setattr(cli_module, "read_cache", unread)
+    args = [arg.format(tmp=tmp_path) for arg in args]
+    result = runner.invoke(main, [*args, "--cache", str(cache_copy), "--out", str(tmp_path / "o")])
+    assert result.exit_code == code, result.output
+    assert message in result.output
 
 
 def test_analyze_format_choice_is_validated(runner, cache_copy, tmp_path):

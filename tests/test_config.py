@@ -48,6 +48,16 @@ def test_comments_blank_lines_and_spacing(tmp_path):
     assert config.weights.kappa == 1.0  # omitted keys keep defaults
 
 
+@pytest.mark.parametrize("first", ["alpha = 0.5\n", "# tuned\nalpha = 0.5\n"], ids=["key", "comment"])
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, first):
+    text = first + "beta = 0.25\ngamma = 0.25\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert load_config(marked) == load_config(plain)
+    assert load_config(plain).weights.alpha == 0.5
+
+
 def test_duplicate_key_reports_line(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("kappa = 1.0\nkappa = 1.1\n", encoding="utf-8")

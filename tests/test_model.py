@@ -14,7 +14,6 @@ from cverisk.encoding import DEFAULT_MAPS, AttributeMaps
 from cverisk.model import (
     ModelConfig,
     ModelWeights,
-    ScoringError,
     Severity,
     SeverityThresholds,
     base_risk,
@@ -22,7 +21,6 @@ from cverisk.model import (
     composite_score,
     impact_score,
     round_up,
-    score_record,
     score_records,
 )
 from cverisk.vector import (
@@ -30,11 +28,12 @@ from cverisk.vector import (
     AttackVector,
     MissingMetricError,
     PrivilegesRequired,
+    VectorError,
     parse_vector,
 )
 
 import oracles
-from conftest import SAMPLE_CACHE, make_record
+from conftest import SAMPLE_CACHE, make_record, score_one
 
 UNIFORM = ModelWeights(1 / 3, 1 / 3, 1 / 3)
 
@@ -243,7 +242,7 @@ def test_custom_thresholds():
 
 
 def test_score_record_reference_pipeline():
-    sr = score_record(make_record())
+    sr = score_one(make_record())
     assert sr.base_risk == pytest.approx(1.0, abs=1e-12)
     assert sr.composite == pytest.approx(9.2, abs=1e-12)
     assert sr.severity is Severity.CRITICAL
@@ -251,35 +250,36 @@ def test_score_record_reference_pipeline():
 
 
 def test_score_record_zero_impact_is_low():
-    sr = score_record(make_record(vector="CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:N/I:N/A:N"))
+    sr = score_one(make_record(vector="CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:N/I:N/A:N"))
     assert sr.composite == 0.0
     assert sr.severity is Severity.LOW
 
 
 def test_score_record_without_vector():
-    with pytest.raises(ScoringError) as info:
-        score_record(make_record(vector=None))
-    assert info.value.cve_id == "CVE-2024-12345"
-    assert "vector" in info.value.reason
+    scored, skipped = score_records([make_record(vector=None)])
+    assert not scored
+    [(cve_id, reason)] = skipped
+    assert cve_id == "CVE-2024-12345"
+    assert "vector" in reason
 
 
 def test_score_record_bad_vector_chains_parser_error():
-    with pytest.raises(ScoringError) as info:
-        score_record(make_record(vector="CVSS:3.1/AV:N"))
-    assert isinstance(info.value.__cause__, MissingMetricError)
-    assert "CVE-2024-12345" in str(info.value)
+    with pytest.raises(MissingMetricError) as info:
+        parse_vector("CVSS:3.1/AV:N")
+    _, skipped = score_records([make_record(vector="CVSS:3.1/AV:N")])
+    assert skipped == [("CVE-2024-12345", str(info.value))]
 
 
 def test_score_record_lenient_prefix():
     old = make_record(vector="CVSS:3.0/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H")
-    with pytest.raises(ScoringError):
-        score_record(old)
-    assert score_record(old, lenient=True).composite == pytest.approx(9.2, abs=1e-12)
+    _, skipped = score_records([old])
+    assert [cve_id for cve_id, _ in skipped] == [old.cve_id]
+    assert score_one(old, lenient=True).composite == pytest.approx(9.2, abs=1e-12)
 
 
 def test_score_record_is_deterministic():
     record = make_record()
-    assert score_record(record) == score_record(record)
+    assert score_one(record) == score_one(record)
 
 
 def test_score_records_splits_good_and_bad():
@@ -290,8 +290,8 @@ def test_score_records_splits_good_and_bad():
     ]
     scored, skipped = score_records(records)
     assert [sr.record.cve_id for sr in scored] == ["CVE-2024-10000"]
-    assert [(r.cve_id) for r, _ in skipped] == ["CVE-2024-10001", "CVE-2024-10002"]
-    assert all(reason for _, reason in skipped)
+    assert [cve_id for cve_id, _ in skipped] == ["CVE-2024-10001", "CVE-2024-10002"]
+    assert all(isinstance(reason, str) and reason for _, reason in skipped)
 
 
 def test_score_records_reports_every_repeat_of_an_invalid_string():
@@ -304,9 +304,9 @@ def test_score_records_reports_every_repeat_of_an_invalid_string():
     ]
     scored, skipped = score_records(records)
     assert [sr.record.cve_id for sr in scored] == ["CVE-2024-10001"]
-    with pytest.raises(ScoringError) as info:
-        score_record(records[0])
-    assert skipped == [(records[k], info.value.reason) for k in (0, 2, 3)]
+    with pytest.raises(VectorError) as info:
+        parse_vector(bad)
+    assert skipped == [(records[k].cve_id, str(info.value)) for k in (0, 2, 3)]
 
 
 CUSTOM_CONFIG = ModelConfig(
@@ -329,7 +329,8 @@ CUSTOM_CONFIG = ModelConfig(
 )
 def test_score_records_equals_score_record_per_record(config, lenient):
     """The per-string and per-code sharing in score_records gives exactly the
-    records that scoring each one alone gives, including skip reasons."""
+    records that scoring each one alone with score_records gives, including
+    skip reasons."""
     extra = [
         "CVSS:3.0/AV:L/AC:H/PR:L/UI:R/S:C/C:L/I:N/A:H",
         "CVSS:3.1/S:C/AV:L/AC:H/PR:L/UI:R/C:L/I:N/A:H",
@@ -340,10 +341,11 @@ def test_score_records_equals_score_record_per_record(config, lenient):
     ]
     expected, expected_skipped = [], []
     for record in records:
-        try:
-            expected.append(score_record(record, config, lenient=lenient))
-        except ScoringError as exc:
-            expected_skipped.append((record, exc.reason))
+        one = score_one(record, config, lenient=lenient)
+        if isinstance(one, str):
+            expected_skipped.append((record.cve_id, one))
+        else:
+            expected.append(one)
     scored, skipped = score_records(records, config, lenient=lenient)
     assert list(scored) == expected
     assert skipped == expected_skipped

@@ -1,8 +1,11 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and every public name
+of the package resolves."""
 
 import re
 import shutil
 from pathlib import Path
+
+import cverisk
 
 from conftest import SAMPLE_CACHE
 
@@ -18,4 +21,13 @@ def test_library_example_runs(tmp_path, monkeypatch):
     exec(blocks[0], namespace)
     assert namespace["header"]["count"] == len(namespace["records"]) == 200
     assert namespace["scored"]
+    skipped = namespace["skipped"]
+    assert skipped
+    assert all(type(cve_id) is str and type(reason) is str for cve_id, reason in skipped)
     assert (tmp_path / "bundle" / "summary.json").is_file()
+
+
+def test_every_exported_name_resolves():
+    namespace: dict = {}
+    exec("from cverisk import *", namespace)  # raises if a name in __all__ is gone
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(cverisk.__all__)

@@ -33,6 +33,7 @@ from cverisk.report import (
 )
 
 from conftest import make_record
+from test_model import CUSTOM_CONFIG
 
 
 @pytest.fixture(scope="module")
@@ -365,14 +366,16 @@ def _two_pass_uniform_row(records, config, lenient):
 
 
 @pytest.mark.parametrize(
-    "weights",
+    "config",
     [
-        ModelWeights(1 / 3, 1 / 3, 1 / 3),
-        ModelWeights(0.3, 0.3, 0.4, 1.0, 0.75, 0.75, kappa=1.15),
-        ModelWeights(0.2, 0.5, 0.3, 0.5, 1.0, 0.25, kappa=0.9, delta=0.05),
+        ModelConfig(weights=ModelWeights(1 / 3, 1 / 3, 1 / 3)),
+        ModelConfig(weights=ModelWeights(0.3, 0.3, 0.4, 1.0, 0.75, 0.75, kappa=1.15)),
+        ModelConfig(weights=ModelWeights(0.2, 0.5, 0.3, 0.5, 1.0, 0.25, kappa=0.9, delta=0.05)),
+        CUSTOM_CONFIG,  # the preset must take these maps and thresholds, not the defaults
     ],
+    ids=["weights0", "weights1", "weights2", "custom-maps"],
 )
-def test_uniform_baseline_matches_the_two_pass_computation(sample_records, weights):
+def test_uniform_baseline_matches_the_two_pass_computation(sample_records, config):
     # Every third vector under the CVSS:3.0 prefix, which only lenient mode reads.
     records = [
         replace(r, vector_string=r.vector_string.replace("CVSS:3.1", "CVSS:3.0"))
@@ -380,7 +383,6 @@ def test_uniform_baseline_matches_the_two_pass_computation(sample_records, weigh
         else r
         for k, r in enumerate(sample_records)
     ]
-    config = ModelConfig(weights=weights)
     bundle = build_bundle(records, config, lenient=True)
     baseline = bundle.summary["method_comparison"][1]
     assert baseline == _two_pass_uniform_row(records, config, lenient=True)
