@@ -7,7 +7,6 @@ Official-severity categories use the thresholds the batch was scored with.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -203,57 +202,37 @@ def conditional_matrix(scored: ScoredBatch, x: str, y: str) -> ConditionalMatrix
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JointRiskConfig:
-    """Pair weights and per-factor activation thresholds for the joint index."""
+def joint_risk_index(fm: FactorMatrix, corr: CorrelationMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of |r| * r over the factor pairs where both factors reach their
+    column medians; pairs with an undefined correlation add nothing.
 
-    weights: np.ndarray
-    thresholds: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        t = np.asarray(self.thresholds, dtype=float)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "thresholds", t)
-        if w.ndim != 2 or w.shape[0] != w.shape[1] or t.shape != (w.shape[0],):
-            raise DimensionMismatchError("weights must be m x m and thresholds length m")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("pair weights must be finite")
-        if not np.allclose(w, w.T, atol=1e-12):
-            raise ValueError("pair weights must be symmetric")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("thresholds must be finite")
-
-    @classmethod
-    def from_data(cls, corr: CorrelationMatrix, fm: FactorMatrix) -> JointRiskConfig:
-        """Defaults: |correlation| as pair weight (0 where undefined) and
-        column medians as activation thresholds."""
-        weights = np.abs(np.nan_to_num(corr.values, nan=0.0))
-        return cls(weights, np.median(fm.rows, axis=0))
-
-
-def joint_risk_index(
-    factors: Sequence[float] | np.ndarray, corr: CorrelationMatrix, cfg: JointRiskConfig
-) -> float:
-    """Correlation-weighted sum over factor pairs at or above their thresholds.
-
-    Pairs with an undefined correlation contribute nothing.
+    A row's index depends only on which factors are active, so the sum is
+    taken once per distinct activation pattern. Returns the index of each
+    pattern and each row's pattern number: ``per_pattern[pattern]`` is the
+    per-row index. Takes at most 64 factors, one bit each of a pattern code.
     """
-    f = np.asarray(factors, dtype=float)
-    m = len(corr.labels)
-    if f.shape != (m,):
-        raise DimensionMismatchError(f"expected {m} factors, got {f.shape}")
-    if cfg.weights.shape != (m, m):
-        raise DimensionMismatchError("pair-weight matrix does not match the factor count")
-    active = f >= cfg.thresholds
-    terms = cfg.weights * np.nan_to_num(corr.values, nan=0.0)
-    mask = np.triu(np.outer(active, active), k=1)
-    return float(np.sum(terms[mask]))
+    if corr.labels != fm.factor_names:
+        raise DimensionMismatchError("correlation labels do not match the factor names")
+    if len(fm.factor_names) > 64:
+        raise DimensionMismatchError("the joint risk index takes at most 64 factors")
+    r = np.nan_to_num(corr.values, nan=0.0)
+    terms = np.abs(r) * r
+    active = fm.rows >= np.median(fm.rows, axis=0)
+    codes = active @ (1 << np.arange(active.shape[1], dtype=np.uint64))
+    _, first, pattern = np.unique(codes, return_index=True, return_inverse=True)
+    per_pattern = np.array([np.sum(terms[np.triu(np.outer(a, a), k=1)]) for a in active[first]])
+    return per_pattern, pattern
 
 
 # --------------------------------------------------------------------------
 # distributions
 # --------------------------------------------------------------------------
+
+
+def _floats(values: Iterable[float]) -> np.ndarray:
+    """``values`` as a float array. An ndarray is converted as it is; any
+    other iterable is listed first."""
+    return np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -282,7 +261,7 @@ class Ecdf:
 
 
 def ecdf(scores: Iterable[float]) -> Ecdf:
-    return Ecdf(np.asarray(list(scores), dtype=float))
+    return Ecdf(_floats(scores))
 
 
 @dataclass(frozen=True)
@@ -410,7 +389,7 @@ def kernel_density(scores: Iterable[float], grid: np.ndarray | None = None) -> D
     of about 2**20 terms, so the temporaries stay near 8 MiB each; each row
     is still summed whole, as in one ``(grid, distinct)`` expression.
     """
-    arr = np.asarray(list(scores), dtype=float)
+    arr = _floats(scores)
     if arr.size < 2:
         raise TooFewPointsError(f"need at least 2 scores, got {arr.size}")
     h = silverman_bandwidth(arr)
@@ -432,8 +411,8 @@ def kernel_density(scores: Iterable[float], grid: np.ndarray | None = None) -> D
 
 def mae(pred: Iterable[float], truth: Iterable[float]) -> float:
     """Mean absolute error between paired score sequences."""
-    p = np.asarray(list(pred), dtype=float)
-    t = np.asarray(list(truth), dtype=float)
+    p = _floats(pred)
+    t = _floats(truth)
     if p.shape != t.shape:
         raise LengthMismatchError(f"length mismatch: {p.size} vs {t.size}")
     if p.size == 0:
@@ -443,7 +422,7 @@ def mae(pred: Iterable[float], truth: Iterable[float]) -> float:
 
 def midranks(values: Iterable[float]) -> np.ndarray:
     """Ranks 1..n where tied values share the average of their positions."""
-    v = np.asarray(list(values), dtype=float)
+    v = _floats(values)
     order = np.argsort(v, kind="stable")
     sorted_v = v[order]
     # NaN != NaN, so each NaN is a group of its own, after every number.
@@ -469,8 +448,8 @@ def spearman_rho(pred: Iterable[float], truth: Iterable[float]) -> float:
 
     Returns NaN when either side has no rank variation.
     """
-    p = np.asarray(list(pred), dtype=float)
-    t = np.asarray(list(truth), dtype=float)
+    p = _floats(pred)
+    t = _floats(truth)
     if p.shape != t.shape:
         raise LengthMismatchError(f"length mismatch: {p.size} vs {t.size}")
     if p.size < 2:

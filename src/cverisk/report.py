@@ -22,7 +22,6 @@ from .analytics import (
     CATEGORICAL_FACTORS,
     ConditionalMatrix,
     FactorMatrix,
-    JointRiskConfig,
     TooFewRowsError,
     category_index,
     conditional_matrix,
@@ -419,14 +418,8 @@ def build_bundle(
 
     # ---- joint risk ---------------------------------------------------------
     if corr is not None:
-        jr_cfg = JointRiskConfig.from_data(corr, fm)
-        # The index depends on a row only through which factors reach their
-        # thresholds, so compute it once per distinct activation pattern.
-        active = fm.rows >= jr_cfg.thresholds
-        patterns = active @ (1 << np.arange(active.shape[1]))
-        _, first, inverse = np.unique(patterns, return_index=True, return_inverse=True)
-        per_pattern = np.array([joint_risk_index(fm.rows[k], corr, jr_cfg) for k in first])
-        indices = per_pattern[inverse]
+        per_pattern, pattern = joint_risk_index(fm, corr)
+        indices = per_pattern[pattern]
         top = heapq.nsmallest(10, zip(ids, indices.tolist()), key=lambda kv: (-kv[1], kv[0]))
         summary["joint_risk"] = {
             "defined": True,
@@ -435,7 +428,7 @@ def build_bundle(
             "top": [{"cve_id": cid, "index": val} for cid, val in top],
         }
         cells = [f"{value!r}\n" for value in per_pattern.tolist()]
-        keys = inverse.tolist()
+        keys = pattern.tolist()
     else:
         summary["joint_risk"] = {"defined": False, "mean": math.nan, "max": math.nan, "top": []}
         cells, keys = ["\n"], [0] * n  # a blank index cell for every record

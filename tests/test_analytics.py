@@ -9,11 +9,11 @@ import pytest
 
 from cverisk.analytics import (
     ConditionalMatrix,
+    CorrelationMatrix,
     DimensionMismatchError,
     Ecdf,
     EmptyInputError,
     FactorMatrix,
-    JointRiskConfig,
     LengthMismatchError,
     TooFewPointsError,
     TooFewRowsError,
@@ -252,58 +252,60 @@ def test_official_severity_requires_official_score():
 # --- joint risk -------------------------------------------------------------
 
 
+def _row_index(fm, corr):
+    per_pattern, pattern = joint_risk_index(fm, corr)
+    return per_pattern[pattern]
+
+
 def test_joint_risk_zero_below_thresholds():
-    fm = FactorMatrix(tuple("wxyz"), np.random.default_rng(3).uniform(0, 1, (10, 4)))
-    corr = correlation_matrix(fm)
-    cfg = JointRiskConfig(np.ones((4, 4)), np.full(4, 2.0))  # unreachable thresholds
-    assert joint_risk_index(fm.rows[0], corr, cfg) == 0.0
+    rows = np.random.default_rng(3).uniform(0, 1, (10, 4))
+    rows[0] = -1.0  # below every column median
+    fm = FactorMatrix(tuple("wxyz"), rows)
+    assert _row_index(fm, correlation_matrix(fm))[0] == 0.0
 
 
 def test_joint_risk_single_active_pair():
-    values = np.array(
-        [[1.0, 0.5, 0.0], [0.5, 1.0, -0.25], [0.0, -0.25, 1.0]]
-    )
-    from cverisk.analytics import CorrelationMatrix
-
+    values = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, -0.25], [0.0, -0.25, 1.0]])
     corr = CorrelationMatrix(("a", "b", "c"), values)
-    weights = np.full((3, 3), 2.0)
-    cfg = JointRiskConfig(weights, np.array([0.5, 0.5, 0.5]))
-    # only a and b reach their thresholds -> single term w_ab * r_ab
-    got = joint_risk_index(np.array([0.9, 0.6, 0.1]), corr, cfg)
-    assert got == pytest.approx(2.0 * 0.5, abs=1e-12)
+    # column medians are all 0.5; the first row activates only b and c
+    rows = np.array([[0.1, 0.9, 0.6], [0.9, 0.1, 0.1], [0.5, 0.5, 0.5]])
+    fm = FactorMatrix(("a", "b", "c"), rows)
+    assert _row_index(fm, corr)[0] == abs(-0.25) * -0.25
 
 
 def test_joint_risk_matches_pair_sum_oracle():
     rng = np.random.default_rng(11)
     fm = FactorMatrix(tuple("wxyz"), rng.uniform(0, 1, (10, 4)))
     corr = correlation_matrix(fm)
-    cfg = JointRiskConfig.from_data(corr, fm)
-    for row in fm.rows:
-        want = oracles.joint_risk(
-            list(row), corr.values.tolist(), cfg.weights.tolist(), cfg.thresholds.tolist()
-        )
-        assert joint_risk_index(row, corr, cfg) == pytest.approx(want, abs=1e-12)
+    weights = np.abs(corr.values).tolist()
+    thresholds = np.median(fm.rows, axis=0).tolist()
+    got = _row_index(fm, corr)
+    for row, value in zip(fm.rows, got):
+        want = oracles.joint_risk(list(row), corr.values.tolist(), weights, thresholds)
+        assert value == pytest.approx(want, abs=1e-12)
 
 
 def test_joint_risk_ignores_undefined_correlations():
     rows = np.array([[1.0, 4.0, 0.1], [2.0, 4.0, 0.9], [3.0, 4.0, 0.5]])
     fm = FactorMatrix(("a", "flat", "b"), rows)
     corr = correlation_matrix(fm)
-    cfg = JointRiskConfig(np.ones((3, 3)), np.zeros(3))  # everything active
-    got = joint_risk_index(rows[0], corr, cfg)
-    assert got == pytest.approx(corr.values[0, 2], abs=1e-12)  # only the defined pair
+    r = corr.values[0, 2]
+    # the second row reaches every median; only the defined pair (a, b) counts
+    assert _row_index(fm, corr)[1] == pytest.approx(abs(r) * r, abs=1e-12)
 
 
 def test_joint_risk_dimension_checks():
-    fm = FactorMatrix(("a", "b"), np.array([[0.1, 0.2], [0.3, 0.4]]))
-    corr = correlation_matrix(fm)
-    cfg = JointRiskConfig(np.zeros((2, 2)), np.zeros(2))
-    with pytest.raises(DimensionMismatchError):
-        joint_risk_index(np.zeros(3), corr, cfg)
-    with pytest.raises(DimensionMismatchError):
-        JointRiskConfig(np.zeros((2, 3)), np.zeros(2))
-    with pytest.raises(ValueError):
-        JointRiskConfig(np.array([[0.0, 1.0], [0.5, 0.0]]), np.zeros(2))
+    rows = np.array([[0.1, 0.2], [0.3, 0.4], [0.2, 0.1]])
+    fm = FactorMatrix(("a", "b"), rows)
+    renamed = FactorMatrix(("a", "c"), rows)
+    wider = FactorMatrix(("a", "b", "c"), np.c_[rows, rows[:, 0]])
+    for other in (renamed, wider):
+        with pytest.raises(DimensionMismatchError):
+            joint_risk_index(fm, correlation_matrix(other))
+    names = tuple(f"f{k}" for k in range(65))
+    many = FactorMatrix(names, np.random.default_rng(5).uniform(size=(3, 65)))
+    with pytest.raises(DimensionMismatchError, match="64"):
+        joint_risk_index(many, correlation_matrix(many))
 
 
 # --- ECDF -------------------------------------------------------------------

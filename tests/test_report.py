@@ -10,14 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from cverisk.analytics import (
-    FactorMatrix,
-    JointRiskConfig,
-    correlation_matrix,
-    joint_risk_index,
-    mae,
-    spearman_rho,
-)
+from cverisk.analytics import FactorMatrix, correlation_matrix, mae, spearman_rho
 from cverisk.calibration import calibrate_kappa, uniform_weights
 from cverisk.model import ModelConfig, ModelWeights, composite_score, score_records
 from cverisk.report import (
@@ -165,16 +158,20 @@ def test_joint_risk_table_and_top_ten(bundle):
         assert indexed[entry["cve_id"]] == entry["index"]
 
 
+def _per_row_joint_risk(scored):
+    """The joint risk index summed row by row, with no pattern grouping."""
+    fm = FactorMatrix.from_scored(scored)
+    r = np.nan_to_num(correlation_matrix(fm).values, nan=0.0)
+    terms = np.abs(r) * r
+    active = fm.rows >= np.median(fm.rows, axis=0)
+    return [float(np.sum(terms[np.triu(np.outer(a, a), k=1)])) for a in active]
+
+
 def test_joint_risk_column_equals_the_per_row_index(bundle, sample_records):
     """Computing the index once per activation pattern changes no bit."""
     batch, _ = score_records(sample_records)
     scored = batch[np.array([r.official_score is not None for r in batch.records])]
-    fm = FactorMatrix.from_scored(scored)
-    corr = correlation_matrix(fm)
-    cfg = JointRiskConfig.from_data(corr, fm)
-    expected = [
-        (sr.record.cve_id, joint_risk_index(row, corr, cfg)) for sr, row in zip(scored, fm.rows)
-    ]
+    expected = list(zip((r.cve_id for r in scored.records), _per_row_joint_risk(scored)))
     assert table_rows(bundle, "joint_risk")[1] == expected
 
 
@@ -202,10 +199,7 @@ def test_rendered_lines_match_csv_writer(sample_records):
     scored = batch[np.argsort([r.cve_id for r in batch.records], kind="stable")]
     scored = scored[np.array([r.official_score is not None for r in scored.records])]
     assert "".join(b.tables["model_scores"][1]) == _csv_writer_text(old_score_rows(scored))
-    fm = FactorMatrix.from_scored(scored)
-    corr = correlation_matrix(fm)
-    cfg = JointRiskConfig.from_data(corr, fm)
-    old_joint = [(r.cve_id, joint_risk_index(row, corr, cfg)) for r, row in zip(scored.records, fm.rows)]
+    old_joint = list(zip((r.cve_id for r in scored.records), _per_row_joint_risk(scored)))
     assert "".join(b.tables["joint_risk"][1]) == _csv_writer_text(old_joint)
 
     # One record has no correlations, so its index cell is blank.
