@@ -369,14 +369,25 @@ class DensityEstimate:
 
 
 def silverman_bandwidth(scores: np.ndarray) -> float:
-    """0.9 * min(sample std, IQR/1.34) * n^(-1/5), with degenerate fallbacks."""
+    """0.9 * min(sample std, IQR/1.34) * n^(-1/5), with degenerate fallbacks.
+
+    n^(-1/5) is ``n ** -0.2`` correctly rounded: the platform's ``pow``
+    rounds some n (240, 982, ...) differently with and without FMA.
+    ``Decimal(-0.2)`` is the exact double that ``n ** -0.2`` raises to.
+    """
     n = scores.size
     std = float(scores.std(ddof=1))
     iqr = float(np.percentile(scores, 75.0) - np.percentile(scores, 25.0))
     spread = min(std, iqr / 1.34)
     if spread <= 0.0:
         spread = std if std > 0.0 else 1e-3
-    return 0.9 * spread * n ** (-0.2)
+    # Imported here, so the commands that draw no density do not load it.
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        shrink = float(Decimal(n) ** Decimal(-0.2))
+    return 0.9 * spread * shrink
 
 
 def kernel_density(scores: Iterable[float], grid: np.ndarray | None = None) -> DensityEstimate:

@@ -20,6 +20,11 @@ _OFF_GRID_SLACK = 1e-6
 #: Rows per block when ``fit_kappa`` sums squared errors, which bounds its
 #: temporaries at a few ``(_KAPPA_BLOCK, kappas)`` arrays.
 _KAPPA_BLOCK = 4096
+#: The weight search's bound counts a group only while its scaled product
+#: stays this far under the 100-unit cap, so its composite is not capped.
+_UNCAPPED = 100.0 - 1e-3
+#: How far a composite's units can sit from its scaled product plus 1/2.
+_UNIT_SLACK = 0.5 + 1e-6
 
 
 class EmptyCalibrationSetError(ValueError):
@@ -109,6 +114,11 @@ class _Groups:
     official_tenths: np.ndarray  # (G,): sum of official scores in 0.1 units
     member: np.ndarray  # (n,): each record's group
 
+    @property
+    def shifted(self) -> np.ndarray:
+        """o - c/2: summed official tenths less half a unit per record."""
+        return self.official_tenths - 0.5 * self.count
+
 
 def _group_sample(cal: ScoredBatch) -> _Groups:
     """Group by the only levels the composite reads; at most 648 groups,
@@ -128,11 +138,12 @@ def _group_sample(cal: ScoredBatch) -> _Groups:
             f"{cal.records.ids[k]}: official score {cal.records.officials[k]!r} "
             "is not on the 0.1 grid"
         )
-    # One encoding per table row, with the default maps: ``cal.factors``
-    # carries the maps of the config the batch was scored with.
-    encoded = np.array([encode_factors(vector) for vector, *_ in cal.table])[:, [0, 1, 2, 5, 6, 7]]
-    levels, member = np.unique(encoded[cal.rows], axis=0, return_inverse=True)
-    member = member.reshape(-1)  # numpy 2.0.0 returns it 2-D
+    # One encoding per table row the sample uses, with the default maps:
+    # ``cal.factors`` carries the maps of the config the batch was scored with.
+    used, row = np.unique(cal.rows, return_inverse=True)
+    encoded = np.array([encode_factors(cal.table[r][0]) for r in used])[:, [0, 1, 2, 5, 6, 7]]
+    levels, group = np.unique(encoded, axis=0, return_inverse=True)
+    member = group.reshape(-1)[row.reshape(-1)]  # numpy 2.0.0 returns them 2-D
     return _Groups(
         exploit=levels[:, :3],
         eta=levels[:, 3:],
@@ -142,38 +153,103 @@ def _group_sample(cal: ScoredBatch) -> _Groups:
     )
 
 
-def _products(
-    groups: _Groups, simplex: np.ndarray, lambdas: tuple[float, float, float]
-) -> np.ndarray:
-    """``10 * base_risk * impact`` for every group x simplex point, (G, S).
+def _scaled_base(groups: _Groups, simplex: np.ndarray) -> np.ndarray:
+    """``10 * base_risk`` for every group x simplex point, (G, S).
 
-    Takes the float steps of ``model.base_risk`` and ``impact_score`` in the
-    same order, element-wise; a matmul may sum in another order and move
-    the last bit.
+    Takes the float steps of ``model.base_risk`` in the same order,
+    element-wise; a matmul may sum in another order and move the last bit.
+    Times a triple's ``_impact`` it gives ``10 * base_risk * impact``, whose
+    products evaluate left to right.
     """
-    exploit, eta = groups.exploit, groups.eta
+    exploit = groups.exploit
     base = (
         simplex[:, 0] * exploit[:, :1]
         + simplex[:, 1] * exploit[:, 1:2]
         + simplex[:, 2] * exploit[:, 2:]
     )
+    return 10.0 * base
+
+
+def _impact(groups: _Groups, lambdas: tuple[float, float, float]) -> np.ndarray:
+    """``model.impact_score`` of every group at one lambda triple, (G,)."""
+    eta = groups.eta
     lam_c, lam_i, lam_a = lambdas
-    impact = 1.0 - (1.0 - lam_c * eta[:, 0]) * (1.0 - lam_i * eta[:, 1]) * (1.0 - lam_a * eta[:, 2])
-    return 10.0 * base * impact[:, None]
+    return 1.0 - (1.0 - lam_c * eta[:, 0]) * (1.0 - lam_i * eta[:, 1]) * (1.0 - lam_a * eta[:, 2])
 
 
-def _score_units(products: np.ndarray, kappa: float, out: np.ndarray) -> np.ndarray:
-    """Composite scores at ``kappa`` in 0.1 units, written into ``out``.
+def _units(products: np.ndarray, kappa: float | np.ndarray) -> np.ndarray:
+    """Composite scores in 0.1 units at ``kappa``, one value or one per column.
 
     The float steps are ``model.composite_score``'s at ``delta = 0.1``, so
     each count of 0.1 steps is the scalar path's; the count is then capped
     at 100 (10 points) exactly.
     """
-    np.multiply(products, kappa, out=out)
-    out /= 0.1
-    out -= GRID_TOLERANCE
-    np.ceil(out, out=out)
-    return np.minimum(out, 100.0, out=out)
+    units = products * kappa
+    units /= 0.1
+    units -= GRID_TOLERANCE
+    np.ceil(units, out=units)
+    return np.minimum(units, 100.0, out=units)
+
+
+def _sse(groups: _Groups, units: np.ndarray) -> np.ndarray:
+    """Each column's sum of squared errors in 0.1 units, minus the constant
+    sum of squared officials. Every term is an integer below 2**53, so these
+    float sums are exact in any order. Overwrites ``units``."""
+    cross = groups.official_tenths @ units
+    return groups.count @ np.square(units, out=units) - 2.0 * cross
+
+
+def _lower_bound(
+    groups: _Groups,
+    base: np.ndarray,
+    impact: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    kappas: np.ndarray,
+) -> np.ndarray:
+    """A lower bound on ``_sse`` for every simplex point x kappa, (S, K), at
+    one lambda triple, whose products are p = ``base * impact[:, None]``.
+
+    ``a`` and ``b`` are sum c p^2 and sum w p over every group, with c a
+    group's record count, o its summed official tenths and w = o - c/2
+    (``_Groups.shifted``).
+
+    At x = 10 kappa p, a composite not capped at 100 has units u in
+    [x - 2e-9, x + 1), so |u - (x + 1/2)| <= ``_UNIT_SLACK``. The error is
+    sum c (u - m)^2 - sum o^2 / c with m = o / c. A product that may reach
+    the cap at some grid kappa leaves the sums from the first such kappa on
+    (its term is >= 0). Over the groups left, the weighted triangle
+    inequality gives sqrt(sum c (u - m)^2) >= sqrt(Q) - _UNIT_SLACK *
+    sqrt(N), where Q = 100 kappa^2 A - 20 kappa B + C, with A = sum c p^2,
+    B = sum w p, C = sum w^2 / c and N = sum c. The margin covers the float
+    error of every sum here, in any order, so the bound never exceeds the
+    exact integer error.
+    """
+    n_s, n_k = base.shape[1], len(kappas)
+    count, shifted = groups.count, groups.shifted
+    spread = shifted**2 / count
+    offset = float(np.sum(groups.official_tenths**2 / count))
+    # base >= 0 and 10 kappa p is linear in kappa, so a product can reach
+    # the cap only if it does so at an end of the grid.
+    reach = 10.0 * np.maximum(kappas[0] * impact, kappas[-1] * impact)
+    flat = np.flatnonzero(base * reach[:, None] > _UNCAPPED)
+    g, s = np.divmod(flat, n_s)
+    p = np.take(base, flat) * impact[g]  # the bits of base * impact[:, None]
+    # A negative product (from a lambda far above 1) is left out at every kappa.
+    first = np.where(p > 0.0, np.searchsorted(kappas, _UNCAPPED / (10.0 * p), side="right"), 0)
+    at = s * (n_k + 1) + first
+    c = count[g]
+    dropped = np.stack([
+        np.bincount(at, weights=weights, minlength=n_s * (n_k + 1))
+        for weights in (c * p * p, shifted[g] * p, spread[g], c)
+    ]).reshape(4, n_s, n_k + 1)[:, :, :n_k]
+    d_a, d_b, d_c, d_n = np.cumsum(dropped, axis=2)
+    scale = 100.0 * kappas**2
+    quad = scale * (a[:, None] - d_a) - 20.0 * kappas * (b[:, None] - d_b) + (spread.sum() - d_c)
+    records = np.maximum(count.sum() - d_n, 0.0)
+    root = np.sqrt(np.maximum(quad, 0.0)) - _UNIT_SLACK * np.sqrt(records)
+    margin = 1e-9 * (scale * a[:, None] + spread.sum() + offset) + 1.0
+    return np.square(np.maximum(root, 0.0)) - offset - margin
 
 
 def calibrate_weights(
@@ -191,8 +267,13 @@ def calibrate_weights(
     cells compare by their exact sum of squared errors in 0.1 units; the
     lowest wins, and equal sums go to the lexicographically smallest full
     weight tuple, across all lambda triples. Records are grouped by their
-    (AV, AC, PR, C, I, A) levels first, so the cost is bounded by the at
-    most 648 distinct keys, not by the sample size.
+    (AV, AC, PR, C, I, A) levels first, at most 648 distinct keys.
+
+    The search scores few cells exactly. Per lambda triple it scores the
+    cell that minimises the error as if nothing were capped, and then only
+    the (simplex, kappa) cells whose lower bound (``_lower_bound``) does
+    not exceed the least exact error found. A cell that could win or tie is
+    never pruned, so the result is the exhaustive search's.
 
     Raises ``OffGridError`` for an official score off the 0.1 grid.
     """
@@ -213,21 +294,34 @@ def calibrate_weights(
     )
     kappas = _kappa_grid(*kappa_range)
     triples = list(itertools.product(sorted(lambda_grid), repeat=3))
-    cell_sse = np.empty((len(simplex), len(triples)))
-    cell_kappa = np.empty((len(simplex), len(triples)), dtype=np.intp)
-    units = np.empty((len(groups.count), len(simplex)))
-    sse = np.empty((len(simplex), len(kappas)))
-    for t, lambdas in enumerate(triples):
-        products = _products(groups, simplex, lambdas)
-        for k, kappa in enumerate(kappas):
-            _score_units(products, kappa, out=units)
-            # SSE minus the constant sum of squared officials. Every term is
-            # an integer below 2**53, so these float sums are exact in any order.
-            cross = groups.official_tenths @ units
-            sse[:, k] = groups.count @ np.square(units, out=units) - 2.0 * cross
-        cell_kappa[:, t] = np.argmin(sse, axis=1)  # first minimum = smallest kappa
-        cell_sse[:, t] = sse[np.arange(len(simplex)), cell_kappa[:, t]]
-    # The first minimum in row-major order has the smallest full tuple.
-    s, t = np.unravel_index(np.argmin(cell_sse), cell_sse.shape)
+    base = _scaled_base(groups, simplex)
+    impacts = np.array([_impact(groups, lambdas) for lambdas in triples])  # (T, G)
+    # Sums for the bound only, so BLAS may pick any order: (T, S) each. One
+    # mat-vec per triple, as one matrix product would start BLAS threads.
+    base_sq = base**2
+    a = np.array([(groups.count * impact**2) @ base_sq for impact in impacts])
+    b = np.array([(groups.shifted * impact) @ base for impact in impacts])
+
+    # One incumbent per triple, the (s, k) of the least uncapped quadratic;
+    # the best of their exact errors bounds the winner's.
+    incumbents = [
+        np.argmin(100.0 * kappas**2 * a[t][:, None] - 20.0 * kappas * b[t][:, None])
+        for t in range(len(triples))
+    ]
+    s, k = np.divmod(np.array(incumbents), len(kappas))
+    upper = float(np.min(_sse(groups, _units(base[:, s] * impacts.T, kappas[k]))))
+
+    best = None  # (sse, s, t, k), compared lexicographically
+    for t, impact in enumerate(impacts):
+        s_live, k_live = np.nonzero(_lower_bound(groups, base, impact, a[t], b[t], kappas) <= upper)
+        for start in range(0, len(s_live), len(simplex)):
+            s, k = s_live[start : start + len(simplex)], k_live[start : start + len(simplex)]
+            sse = _sse(groups, _units(base[:, s] * impact[:, None], kappas[k]))
+            j = int(np.argmin(sse))  # cells run in (s, k) order: first = smallest
+            cell = (float(sse[j]), int(s[j]), t, int(k[j]))
+            if best is None or cell < best:
+                best = cell
+                upper = min(upper, cell[0])
+    _, s, t, k = best
     alpha, beta, gamma = (float(x) for x in simplex[s])
-    return ModelWeights(alpha, beta, gamma, *triples[t], float(kappas[cell_kappa[s, t]]))
+    return ModelWeights(alpha, beta, gamma, *triples[t], float(kappas[k]))

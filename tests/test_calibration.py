@@ -1,6 +1,7 @@
 """Grid-search calibration: planted-value recovery, tie-breaking, and the
 brute-force grid oracles."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -8,14 +9,18 @@ import numpy as np
 import pytest
 
 from cverisk.calibration import (
+    DEFAULT_KAPPA_RANGE,
+    DEFAULT_LAMBDA_GRID,
     BadGridStepError,
     EmptyCalibrationSetError,
     OffGridError,
     _group_sample,
+    _impact,
     _kappa_grid,
+    _lower_bound,
     _mean_squared_errors,
-    _products,
-    _score_units,
+    _scaled_base,
+    _units,
     calibrate_kappa,
     calibrate_weights,
     fit_kappa,
@@ -255,8 +260,9 @@ def test_search_score_units_equal_scalar_composites(sample_scored):
     assert w.delta == 0.1
     groups = _group_sample(cal)
     simplex = np.array([[w.alpha, w.beta, w.gamma]])
-    products = _products(groups, simplex, (w.lambda_c, w.lambda_i, w.lambda_a))
-    units = _score_units(products, w.kappa, out=np.empty_like(products))
+    impact = _impact(groups, (w.lambda_c, w.lambda_i, w.lambda_a))
+    products = _scaled_base(groups, simplex) * impact[:, None]
+    units = _units(products, w.kappa)
     cfg = ModelConfig(weights=w)
     for sr, group in zip(cal, groups.member):
         assert units[group, 0] == round(score_one(sr.record, cfg).composite * 10)
@@ -265,6 +271,128 @@ def test_search_score_units_equal_scalar_composites(sample_scored):
 def test_calibrate_weights_rejects_off_grid_officials():
     with pytest.raises(OffGridError, match="CVE-2024-30001"):
         calibrate_weights(as_batch([fake_scored(5.0, 5.0, 0), fake_scored(5.0, 7.25, 1)]))
+
+
+def _simplex(grid_step):
+    n_div = round(1.0 / grid_step)
+    return np.array(
+        [
+            (i / n_div, j / n_div, (n_div - i - j) / n_div)
+            for i in range(n_div + 1)
+            for j in range(n_div - i + 1)
+        ]
+    )
+
+
+def dense_search(cal, grid_step, lambda_grid, kappa_range):
+    """The exhaustive weight search: every (simplex, lambda triple, kappa)
+    cell scored exactly, and the weights of the first least error, which has
+    the smallest (simplex, triple, kappa) index."""
+    groups = _group_sample(cal)
+    simplex, kappas = _simplex(grid_step), _kappa_grid(*kappa_range)
+    triples = list(itertools.product(sorted(lambda_grid), repeat=3))
+    exploit, eta = groups.exploit, groups.eta
+    base = simplex[:, 0] * exploit[:, :1] + simplex[:, 1] * exploit[:, 1:2] + simplex[:, 2] * exploit[:, 2:]
+    sse = np.empty((len(simplex), len(triples), len(kappas)))
+    for t, (lam_c, lam_i, lam_a) in enumerate(triples):
+        impact = 1.0 - (1.0 - lam_c * eta[:, 0]) * (1.0 - lam_i * eta[:, 1]) * (1.0 - lam_a * eta[:, 2])
+        products = 10.0 * base * impact[:, None]
+        for k, kappa in enumerate(kappas):
+            units = np.minimum(np.ceil(products * kappa / 0.1 - GRID_TOLERANCE), 100.0)
+            sse[:, t, k] = groups.count @ units**2 - 2.0 * (groups.official_tenths @ units)
+    s, t, k = np.unravel_index(np.argmin(sse), sse.shape)
+    alpha, beta, gamma = (float(x) for x in simplex[s])
+    return ModelWeights(alpha, beta, gamma, *triples[t], float(kappas[k])), sse
+
+
+def _records(vectors, officials, start):
+    return as_batch(
+        score_one(make_record(cve_id=f"CVE-2024-{start + k}", vector=vs, official=off))
+        for k, (vs, off) in enumerate(zip(vectors, officials))
+    )
+
+
+def capped_set(n=40, seed=0):
+    """Severe network vectors with officials 9.0-10.0: at most kappas many
+    composites reach the 10-point cap."""
+    rng = random.Random(seed)
+    vectors = [
+        f"CVSS:3.1/AV:N/AC:L/PR:{rng.choice('NLH')}/UI:{rng.choice('NR')}/S:{rng.choice('UC')}"
+        f"/C:H/I:H/A:{rng.choice('NLH')}"
+        for _ in range(n)
+    ]
+    return _records(vectors, [rng.randrange(90, 101) / 10 for _ in range(n)], 80000)
+
+
+def equal_officials_set(all_scored, n=30):
+    """Many vectors, one official score: errors tie across many cells."""
+    vectors = [sr.record.vector_string for sr in random.Random(5).sample(list(all_scored), n)]
+    return _records(vectors, [5.0] * n, 81000)
+
+
+SEARCH_SAMPLES = {
+    "capped": lambda all_scored: capped_set(),
+    "one record": lambda all_scored: _records(
+        ["CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H"], [9.8], 82000
+    ),
+    "one group": lambda all_scored: _records(
+        ["CVSS:3.1/AV:L/AC:H/PR:L/UI:R/S:U/C:L/I:H/A:N"] * 8,
+        [4.0, 4.4, 5.0, 5.1, 3.9, 4.7, 6.2, 4.4],
+        83000,
+    ),
+    "equal officials": equal_officials_set,
+    "noisy": lambda all_scored: as_batch(seeded_set(all_scored, 7, n=60)),
+}
+SEARCH_GRIDS = [
+    (0.05, DEFAULT_LAMBDA_GRID, DEFAULT_KAPPA_RANGE),
+    (0.1, (1.0,), (0.5, 3.0, 0.05)),
+    (0.25, (0.5, 1.0), (1.0, 4.0, 0.25)),
+    (0.05, (0.5, 1.0), (1.0, 4.0, 0.25)),
+    (0.1, DEFAULT_LAMBDA_GRID, (0.5, 3.0, 0.05)),
+]
+
+
+@pytest.mark.parametrize(
+    "grid", SEARCH_GRIDS, ids=lambda g: f"step{g[0]}-lambdas{len(g[1])}-kappa{g[2][1]}"
+)
+@pytest.mark.parametrize("sample", SEARCH_SAMPLES)
+def test_pruned_search_returns_the_exhaustive_searchs_cell(all_scored, sample, grid):
+    cal = SEARCH_SAMPLES[sample](all_scored)
+    grid_step, lambda_grid, kappa_range = grid
+    want, _ = dense_search(cal, grid_step, lambda_grid, kappa_range)
+    got = calibrate_weights(cal, grid_step, lambda_grid=lambda_grid, kappa_range=kappa_range)
+    assert weight_tuple(got) == weight_tuple(want)
+
+
+@pytest.mark.parametrize(
+    "lambda_grid, kappa_range",
+    [
+        (DEFAULT_LAMBDA_GRID, (0.5, 3.0, 0.05)),
+        # lambda 5 makes some impacts negative, and a kappa <= 0 makes a
+        # negative product positive: cells no ModelWeights holds, but cells
+        # of the grid all the same
+        ((0.5, 1.0, 5.0), (-1.0, 1.5, 0.25)),
+    ],
+    ids=["default lambdas", "negative products"],
+)
+@pytest.mark.parametrize("sample", ["capped", "equal officials", "noisy"])
+def test_lower_bound_never_exceeds_the_exact_error(all_scored, sample, lambda_grid, kappa_range):
+    """At every cell of the grid, whatever order the bound's sums take; and
+    it rules out most cells, or the search would score them all."""
+    cal = SEARCH_SAMPLES[sample](all_scored)
+    grid_step = 0.1
+    _, sse = dense_search(cal, grid_step, lambda_grid, kappa_range)
+    groups = _group_sample(cal)
+    base, kappas = _scaled_base(groups, _simplex(grid_step)), _kappa_grid(*kappa_range)
+    ruled_out = 0
+    for t, lambdas in enumerate(itertools.product(lambda_grid, repeat=3)):
+        impact = _impact(groups, lambdas)
+        products = base * impact[:, None]
+        a, b = groups.count @ products**2, groups.shifted @ products
+        bound = _lower_bound(groups, base, impact, a, b, kappas)
+        assert (bound <= sse[:, t, :]).all()
+        ruled_out += int((bound > sse.min()).sum())
+    assert ruled_out > sse.size / 2
 
 
 def _one_shot_mse(products, officials, grid, delta):

@@ -3,12 +3,14 @@ contracts for the usual failure modes."""
 
 import contextlib
 import errno
+import importlib.util
 import io
 import itertools
 import json
 import os
 import platform
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -163,6 +165,75 @@ def test_analyze_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
         outputs.append(_files_under(out_dir))
     assert "correlation_matrix.csv" in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture()
+def bench_gen(monkeypatch):
+    """``perfbench/gen.py``, imported read-only (no bytecode written next to
+    it) as it imports the fixture generator, and importable as ``gen`` for
+    the test's length, as ``perfbench/check.py`` imports it."""
+    spec = importlib.util.spec_from_file_location("gen", REPO / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "gen", module)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_calibrate_passes_the_benchmark_output_checks(bench_gen, tmp_path):
+    """``perfbench/check.py``'s ``check_calibrate`` on a small benchmark
+    cache: the sample's ids, a grid config, the fitted kappa the best for
+    the fitted weights, and an error no worse than the uniform preset's."""
+    check = bench_gen.load_module(REPO / "perfbench" / "check.py")
+    cache, out = tmp_path / "nvd.jsonl", tmp_path / "cal"
+    truth = bench_gen.nvd_cache(bench_gen.load_fixture_module(REPO), cache, 2000, 4)
+    result = CliRunner().invoke(
+        main, ["calibrate", "--cache", str(cache), "--out", str(out), "--n-cal", "1000", "--seed", "4"]
+    )
+    assert result.exit_code == 0, result.output
+    assert check.check_calibrate(REPO, out, truth, 1000, 4) == []
+
+
+def _cpu_has_fma():
+    if platform.machine().lower() not in ("x86_64", "amd64") or platform.libc_ver()[0] != "glibc":
+        return False
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text(encoding="utf-8")
+    except OSError:
+        return False
+    return re.search(r"^flags\s*:.*\bfma\b", cpuinfo, re.MULTILINE) is not None
+
+
+@pytest.mark.skipif(
+    not _cpu_has_fma(),
+    reason="not glibc on an x86-64 CPU with FMA, so masking FMA picks no other pow",
+)
+def test_kde_bandwidths_do_not_depend_on_fma(bench_gen, tmp_path):
+    """glibc picks its ``pow`` by CPU feature, and its FMA and plain builds
+    round ``240 ** -0.2`` differently; a 240-record attack-vector group
+    carries the bandwidth into ``summary.json``."""
+    full = tmp_path / "full.jsonl"
+    truth = bench_gen.nvd_cache(bench_gen.load_fixture_module(REPO), full, 4000, 1)
+    header, *body = full.read_text(encoding="utf-8").splitlines()
+    usable = [(t, line) for t, line in zip(truth, body) if t.metrics and t.official is not None]
+    adjacent = [line for t, line in usable if t.metrics["AV"] == "A"][:240]
+    others = [line for t, line in usable[:300] if t.metrics["AV"] != "A"]
+    assert len(adjacent) == 240
+    cache = tmp_path / "cache.jsonl"
+    header = json.dumps({**json.loads(header), "count": len(adjacent) + len(others)}, sort_keys=True)
+    cache.write_text("\n".join([header, *adjacent, *others]) + "\n", encoding="utf-8")
+    summaries = []
+    for name, env in (("plain", {}), ("no-fma", {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-FMA4"})):
+        _run_cli(["analyze", "--cache", str(cache), "--out", str(tmp_path / name)], env)
+        summaries.append((tmp_path / name / "summary.json").read_bytes())
+    assert b'"Adjacent"' in summaries[0]
+    assert summaries[0] == summaries[1]
 
 
 def _outputs_without_dataset_hash(out_dir):
