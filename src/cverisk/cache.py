@@ -13,6 +13,7 @@ import logging
 from collections.abc import Iterable
 from datetime import datetime, timezone
 from itertools import chain
+from json.scanner import make_scanner
 from pathlib import Path
 
 from .config import write_atomic
@@ -76,7 +77,10 @@ def write_cache(
 def read_header(path) -> dict:
     """Parse and validate the cache header line."""
     with Path(path).open("rb") as fh:
-        first = fh.readline()
+        return _header(fh.readline())
+
+
+def _header(first: bytes) -> dict:
     try:
         header = json.loads(first.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
@@ -98,19 +102,27 @@ def read_cache(path, *, lenient: bool = False) -> RecordColumns:
     file; per-line errors are reported first.
     """
     path = Path(path)
-    expected = read_header(path).get("count")
     ids, descriptions, published, officials, vectors, systems = columns = [], [], [], [], [], []
     seen: set[str] = set()
+    # The C scanner reads a line that holds one JSON value followed by its
+    # LF; any other line goes to ``json.loads``, which reads it the same way
+    # or raises the error the line is reported with.
+    scan = make_scanner(json.JSONDecoder())
     # Binary lines split on LF only; each is decoded on its own, so a
     # non-UTF-8 line is one corrupt line.
     with path.open("rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line_no == 1:
-                continue
+        expected = _header(fh.readline()).get("count")
+        line_no = 1
+        for line_no, line in enumerate(fh, start=2):
             try:
-                cve_id, description, when, official, vector, system = record_fields(
-                    json.loads(line.decode("utf-8"))
-                )
+                text = line.decode("utf-8")
+                try:
+                    data, end = scan(text, 0)
+                except (StopIteration, json.JSONDecodeError):
+                    end = -1
+                if end != len(text) - 1 or text[end] != "\n":
+                    data = json.loads(text)
+                cve_id, description, when, official, vector, system = record_fields(data)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 if lenient:
                     logger.warning("skipping corrupt cache line %d: %s", line_no, exc)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .encoding import ETA, FACTOR_NAMES, AttributeMaps, encode_factors
 from .records import CveRecord, RecordColumns
-from .vector import CvssVector, VectorError, parse_vector
+from .vector import VECTOR_COUNT, CvssVector, VectorError, parse_vector, vector_codes, vector_of
 
 #: Absolute slack absorbed when deciding whether a value already sits on the
 #: rounding grid.
@@ -211,35 +211,39 @@ def score_records(
 ) -> tuple[ScoredBatch, list[tuple[str, str]]]:
     """Score a batch; unscoreable records come back as (cve_id, reason) pairs.
 
-    Parses each distinct vector string and scores each distinct vector code
-    once, into one row of the batch's table; a record scores the same alone
-    as in any batch. No ``CveRecord`` is built: the batch selects the kept
-    records' columns.
+    Recognizes the distinct vector strings in bulk (``vector_codes``) and
+    scores each distinct vector code once, into one row of the batch's
+    table, in order of first appearance; ``parse_vector`` runs only on the
+    strings that do not parse, for their error text. A record scores the
+    same alone as in any batch. No ``CveRecord`` is built: the batch
+    selects the kept records' columns.
     """
     config = config or ModelConfig()
     records = RecordColumns.of(records)
-    by_string: dict[str, int | str] = {}  # table row, or why parsing failed
-    by_code: dict[int, int] = {}
-    table: list[tuple] = []
-    kept: list[int] = []
-    rows: list[int] = []
-    skipped: list[tuple[str, str]] = []
-    for k, text in enumerate(records.vectors):
-        row = by_string.get(text) if text else _NO_VECTOR
-        if row is None:
-            try:
-                vector = parse_vector(text, lenient=lenient)
-            except VectorError as exc:
-                row = str(exc)
-            else:
-                row = by_code.setdefault(vector.code, len(table))
-                if row == len(table):
-                    table.append(_score_vector(vector, config))
-            by_string[text] = row
-        if isinstance(row, str):
-            skipped.append((records.ids[k], row))
-        else:
-            kept.append(k)
-            rows.append(row)
-    batch = ScoredBatch(records[kept], table, np.array(rows, dtype=np.intp), config.thresholds)
+    index: dict[str | None, int] = {}  # each distinct string's position in ``texts``
+    which = np.fromiter(
+        (index.setdefault(text, len(index)) for text in records.vectors), np.intp, len(records)
+    )
+    texts = list(index)
+    del index
+    codes = vector_codes([text or "" for text in texts], lenient)
+    reasons: dict[int, str] = {}  # why each string without a code is skipped
+    for k in np.flatnonzero(codes < 0).tolist():
+        if not texts[k]:
+            reasons[k] = _NO_VECTOR
+            continue
+        try:
+            parse_vector(texts[k], lenient=lenient)
+        except VectorError as exc:
+            reasons[k] = str(exc)
+    valid = codes[codes >= 0]
+    distinct, first = np.unique(valid, return_index=True)
+    order = distinct[np.argsort(first)]  # the codes in order of first appearance
+    row_of = np.zeros(VECTOR_COUNT, dtype=np.intp)
+    row_of[order] = np.arange(len(order))
+    rows = np.where(codes >= 0, row_of[codes], -1)[which]
+    kept = rows >= 0
+    table = [_score_vector(vector_of(code), config) for code in order.tolist()]
+    skipped = [(records.ids[k], reasons[which[k]]) for k in np.flatnonzero(~kept).tolist()]
+    batch = ScoredBatch(records[kept], table, rows[kept], config.thresholds)
     return batch, skipped

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
@@ -38,7 +39,8 @@ def check_fields(cve_id, description, published, official_score, vector_string, 
         raise ValueError(f"{cve_id}: affected os {affected_os!r} is not a string")
     if (score := official_score) is not None:
         if type(score) is int:
-            score = float(score)
+            with contextlib.suppress(OverflowError):  # too large for a float: outside [0, 10]
+                score = float(score)
         elif type(score) is not float:
             raise ValueError(f"{cve_id}: official score {score!r} is not a number")
         if not 0.0 <= score <= 10.0:

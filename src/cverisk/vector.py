@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 STRICT_PREFIX = "CVSS:3.1"
 LENIENT_PREFIXES = (STRICT_PREFIX, "CVSS:3.0")
@@ -101,8 +104,8 @@ class CvssVector:
 
     def __post_init__(self) -> None:
         code = 0
-        for (attr, _), radix in zip(_METRICS.values(), _RADICES):
-            code = code * radix + _ORDINAL[getattr(self, attr)]
+        for (attr, _), members in zip(_METRICS.values(), _MEMBERS):
+            code = code * len(members) + members.index(getattr(self, attr))
         object.__setattr__(self, "code", code)
 
 
@@ -119,12 +122,12 @@ _METRICS: dict[str, tuple[str, type[Enum]]] = {
 }
 
 METRIC_NAMES = tuple(_METRICS)
-_ORDINAL = {member: k for _, enum in _METRICS.values() for k, member in enumerate(enum)}
 # Each metric's members in enum order, so a code digit indexes its value.
 _MEMBERS = tuple(tuple(enum) for _, enum in _METRICS.values())
 _RADICES = tuple(len(members) for members in _MEMBERS)
 # Place value of each metric's digit in a code: (864, 432, 144, 72, 36, 12, 4, 1).
 _PLACES = tuple(math.prod(_RADICES[k + 1 :]) for k in range(len(_RADICES)))
+VECTOR_COUNT = math.prod(_RADICES)  # 2,592 valid vectors, codes 0..2591
 # Each valid token, e.g. "AV:N" -> (metric position, digit * place value).
 _TOKENS = {
     f"{name}:{member.value}": (k, digit * _PLACES[k])
@@ -205,10 +208,65 @@ def parse_vector(s: str, lenient: bool = False) -> CvssVector:
 
     if seen != _ALL_SEEN:
         raise MissingMetricError(next(n for k, n in enumerate(METRIC_NAMES) if not seen >> k & 1))
+    return vector_of(code)
+
+
+def vector_of(code: int) -> CvssVector:
+    """The shared ``CvssVector`` of a code 0..2591, as ``parse_vector`` returns it."""
     vector = _VECTORS.get(code)
     if vector is None:  # setdefault keeps the first one built under a race
         vector = _VECTORS.setdefault(code, _vector(code))
     return vector
+
+
+# Every string ``parse_vector`` accepts is 44 ASCII characters: an 8-character
+# prefix, then 8 tokens each led by "/". The 4 bytes after each "/", read as
+# one big-endian word, are a 4-character token or a 3-character token and the
+# "/" that closes it; neither form contains the other.
+_VECTOR_LENGTH = len(STRICT_PREFIX) + sum(len(name) + 3 for name in METRIC_NAMES)
+_WORD_TOKENS = sorted(_TOKENS, key=lambda token: f"{token}/"[:4])
+_WORDS = np.frombuffer("".join(f"{t}/"[:4] for t in _WORD_TOKENS).encode(), ">u4").astype(np.uint32)
+_WORD_BITS = np.array([1 << _TOKENS[t][0] for t in _WORD_TOKENS], np.uint8)
+_WORD_VALUES = np.array([_TOKENS[t][1] for t in _WORD_TOKENS], np.intp)
+_BLOCK = 8192
+
+
+def vector_codes(strings: Sequence[str], lenient: bool = False) -> np.ndarray:
+    """``parse_vector(s, lenient).code`` for each string, or -1 where it raises.
+
+    Recognizes the strings with array operations, in blocks of at most
+    8,192; ``parse_vector`` stays the one source of the errors.
+    """
+    n = len(strings)
+    codes = np.full(n, -1, dtype=np.intp)
+    fits = np.fromiter(map(len, strings), np.intp, n) == _VECTOR_LENGTH
+    fits &= np.fromiter(map(str.isascii, strings), bool, n)
+    prefixes = "".join(LENIENT_PREFIXES if lenient else (STRICT_PREFIX,)).encode()
+    prefixes = np.frombuffer(prefixes, np.uint64)
+    slash = ord("/")
+    candidates = np.flatnonzero(fits)
+    for start in range(0, len(candidates), _BLOCK):
+        block = candidates[start : start + _BLOCK]
+        text = "".join([strings[k] for k in block.tolist()]).encode("ascii")
+        # One row per string, closed by a "/" and zero-padded to 48 bytes, so
+        # a word can be read after every "/".
+        rows = np.zeros((len(block), 48), np.uint8)
+        rows[:, :_VECTOR_LENGTH] = np.frombuffer(text, np.uint8).reshape(len(block), -1)
+        rows[:, _VECTOR_LENGTH] = slash
+        slashes = rows == slash
+        # Each prefix is 8 bytes, one uint64; 8 "/" lead the tokens, 1 closes.
+        ok = np.isin(rows.view(np.uint64)[:, 0], prefixes) & (slashes.sum(axis=1) == 9)
+        rows, block = rows.ravel(), block[ok]
+        # Offsets of the first byte of each row's 8 tokens in ``rows``.
+        at = np.flatnonzero(slashes & ok[:, None]).reshape(-1, 9)[:, :8] + 1
+        words = np.zeros(at.shape, np.uint32)
+        for k in range(4):
+            words = words << 8 | rows[at + k]
+        found = np.minimum(np.searchsorted(_WORDS, words), len(_WORDS) - 1)
+        ok = (_WORDS[found] == words).all(axis=1)
+        ok &= np.bitwise_or.reduce(_WORD_BITS[found], axis=1) == _ALL_SEEN
+        codes[block[ok]] = _WORD_VALUES[found[ok]].sum(axis=1)
+    return codes
 
 
 def serialize_vector(v: CvssVector) -> str:

@@ -1,10 +1,13 @@
 """Shared fixtures: record factories, exhaustive vector enumeration, the
-packaged sample cache, and the opt-in live NVD snapshot."""
+packaged sample cache, the benchmark's cache generator, and the opt-in live
+NVD snapshot."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import os
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from cverisk.cache import read_cache
 from cverisk.model import ScoredBatch, SeverityThresholds, score_records
 from cverisk.records import CveRecord, RecordColumns
 
+REPO = Path(__file__).resolve().parents[1]
 DATA_DIR = Path(__file__).parent / "data"
 SAMPLE_CACHE = DATA_DIR / "sample_cache.jsonl"
 
@@ -94,6 +98,22 @@ def all_scored():
     scored, skipped = score_records(records)
     assert not skipped
     return scored
+
+
+@pytest.fixture()
+def bench_gen(monkeypatch):
+    """``perfbench/gen.py``, imported read-only (no bytecode written next to
+    it) as it imports the fixture generator, and importable as ``gen`` for
+    the test's length, as ``perfbench/check.py`` imports it."""
+    spec = importlib.util.spec_from_file_location("gen", REPO / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "gen", module)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -405,3 +405,45 @@ def test_reader_matches_from_dict_line_by_line(tmp_path, caplog):
         assert err.value.line_no == 7
         if reason is not None:
             assert err.value.reason == reason
+
+
+def _record_line(cve_id: str, **changes) -> bytes:
+    """One record as a JSON object, with no line ending."""
+    return json.dumps({**make_record(cve_id=cve_id).to_dict(), **changes}).encode()
+
+
+# Lines the reader must read as ``json.loads`` does; the first four are kept.
+READER_LINES = {
+    "crlf": _record_line("CVE-2024-30001") + b"\r\n",
+    "leading-space": b" " + _record_line("CVE-2024-30002") + b"\n",
+    "trailing-spaces": _record_line("CVE-2024-30003") + b"   \n",
+    "no-final-lf": _record_line("CVE-2024-30004"),
+    "bom": b"\xef\xbb\xbf" + _record_line("CVE-2024-30005") + b"\n",
+    "two-objects": _record_line("CVE-2024-30006") + b" " + _record_line("CVE-2024-30007") + b"\n",
+    "array": b"[" + _record_line("CVE-2024-30008") + b"]\n",
+    "nan-score": _record_line("CVE-2024-30009", official_score=float("nan")) + b"\n",
+    "empty": b"\n",
+    "non-utf8": _record_line("CVE-2024-30010").replace(b"synthetic", b"synth\xffetic") + b"\n",
+    "truncated": _record_line("CVE-2024-30011")[:40] + b"\n",
+}
+
+
+@pytest.mark.parametrize("name", READER_LINES)
+def test_reader_reads_each_line_as_json_loads_does(tmp_path, caplog, name):
+    """The line after a plain record: the record ``json.loads`` gives, or
+    in strict mode the error ``json.loads`` or the record contract raises,
+    and in lenient mode a skip with that warning."""
+    lines = [_record_line("CVE-2024-30000") + b"\n", READER_LINES[name]]
+    kept, dropped = reference_read(lines)
+    assert len(kept) == (2 if name in list(READER_LINES)[:4] else 1)
+    path = write_lines(tmp_path / "cache.jsonl", lines)
+    with caplog.at_level(logging.WARNING, logger="cverisk.cache"):
+        records = read_cache(path, lenient=True)
+    assert [field_values(r) for r in records] == [field_values(r) for r in kept]
+    assert caplog.messages == [warning for _, _, warning in dropped]
+    if dropped:
+        with pytest.raises(CacheFormatError) as err:
+            read_cache(path)
+        assert (err.value.line_no, err.value.reason) == dropped[0][:2]
+    else:
+        assert [field_values(r) for r in read_cache(path)] == [field_values(r) for r in kept]

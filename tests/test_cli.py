@@ -3,7 +3,6 @@ contracts for the usual failure modes."""
 
 import contextlib
 import errno
-import importlib.util
 import io
 import itertools
 import json
@@ -30,7 +29,7 @@ from cverisk.nvd import NetworkError, RateLimiter, fetch_window
 from cverisk.records import CveRecord
 from cverisk.report import CsvLines, score_rows
 
-from conftest import SAMPLE_CACHE, make_record, score_one
+from conftest import REPO, SAMPLE_CACHE, make_record, score_one
 from test_nvd import FakeResponse, FakeSession, api_item, page_payload
 
 
@@ -167,25 +166,6 @@ def test_analyze_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-REPO = Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture()
-def bench_gen(monkeypatch):
-    """``perfbench/gen.py``, imported read-only (no bytecode written next to
-    it) as it imports the fixture generator, and importable as ``gen`` for
-    the test's length, as ``perfbench/check.py`` imports it."""
-    spec = importlib.util.spec_from_file_location("gen", REPO / "perfbench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "gen", module)
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
-
-
 def test_calibrate_passes_the_benchmark_output_checks(bench_gen, tmp_path):
     """``perfbench/check.py``'s ``check_calibrate`` on a small benchmark
     cache: the sample's ids, a grid config, the fitted kappa the best for
@@ -198,6 +178,35 @@ def test_calibrate_passes_the_benchmark_output_checks(bench_gen, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert check.check_calibrate(REPO, out, truth, 1000, 4) == []
+
+
+def test_score_passes_the_benchmark_output_checks(bench_gen, tmp_path):
+    """``check_score`` on a small dirty benchmark cache scored with
+    --lenient: every kept record's scores and class, and every skip with its
+    reason (truncated and corrupt lines, bad vectors, CVSS:3.0 prefixes)."""
+    check = bench_gen.load_module(REPO / "perfbench" / "check.py")
+    cache, out = tmp_path / "dirty.jsonl", tmp_path / "score"
+    truth = bench_gen.dirty_cache(bench_gen.load_fixture_module(REPO), cache, 4000, 5)
+    result = CliRunner().invoke(main, ["score", "--lenient", "--cache", str(cache), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert check.check_score(REPO, out, truth) == []
+
+
+def test_analyze_passes_the_benchmark_output_checks(bench_gen, tmp_path):
+    """``check_analyze`` on a small NVD-like benchmark cache analyzed with
+    the benchmark's config and exclusion list: the schema, the scores,
+    correlations, tables and distributions against the generator's truth."""
+    check = bench_gen.load_module(REPO / "perfbench" / "check.py")
+    cache, out = tmp_path / "nvd.jsonl", tmp_path / "bundle"
+    truth = bench_gen.nvd_cache(bench_gen.load_fixture_module(REPO), cache, 2000, 6)
+    weights = bench_gen.write_config(tmp_path / "model_config.txt")
+    exclude = bench_gen.write_exclusions(tmp_path / "exclude_ids.txt", truth, 6)
+    result = CliRunner().invoke(main, [
+        "analyze", "--cache", str(cache), "--config", str(tmp_path / "model_config.txt"),
+        "--exclude-ids", str(tmp_path / "exclude_ids.txt"), "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    assert check.check_analyze(REPO, out, truth, exclude, weights) == []
 
 
 def _cpu_has_fma():
@@ -389,13 +398,14 @@ def test_lenient_mode_rides_over_corrupt_lines(runner, cache_copy, tmp_path):
         ("vector_string", 5),
         ("vector_string", ["CVSS:3.1"]),
         ("official_score", "7.5"),
+        ("official_score", 10**400),
         ("cve_id", "CVE-2024-10004\n"),
         ("cve_id", "CVE-2024-\u0661\u0660\u0660\u0660\u0664"),
         ("description", 5),
         ("affected_os", ["x"]),
         ("published", 20240101),
     ],
-    ids=["number", "list", "score-string", "id-newline", "id-non-ascii-digits",
+    ids=["number", "list", "score-string", "score-beyond-float", "id-newline", "id-non-ascii-digits",
          "description-number", "os-list", "published-number"],
 )
 def test_non_string_vector_is_a_corrupt_cache_line(

@@ -8,7 +8,7 @@ from datetime import datetime
 import pytest
 
 from cverisk.cache import read_header, write_cache
-from cverisk.nvd import extract_record
+from cverisk.nvd import NvdError, extract_record
 from cverisk.records import CveRecord
 
 from conftest import make_record
@@ -50,6 +50,14 @@ def test_an_integer_official_score_is_stored_as_float():
     assert json.dumps(record.to_dict()["official_score"]) == "7.0"
 
 
+def test_an_api_score_beyond_float_range_is_an_api_error():
+    item = {"id": "CVE-2024-12345", "published": STAMP_UTC, "metrics": {"cvssMetricV31": [
+        {"type": "Primary", "cvssData": {"baseScore": 10**400, "vectorString": "CVSS:3.1/AV:N"}}
+    ]}}
+    with pytest.raises(NvdError, match=r"official score 10{400} outside \[0, 10\]"):
+        extract_record(item)
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -60,10 +68,12 @@ def test_an_integer_official_score_is_stored_as_float():
         ({"affected_os": ["x"]}, "affected os"),
         ({"official": "7.5"}, "official score '7.5' is not a number"),
         ({"official": 10.5}, r"outside \[0, 10\]"),
+        ({"official": 10**400}, r"official score 10{400} outside \[0, 10\]"),  # float() overflows
+        ({"official": -(10**400)}, r"official score -10{400} outside \[0, 10\]"),
         ({"published": "2024-01-03"}, "is not a datetime"),
     ],
     ids=["id-newline", "id-int", "id-non-ascii-digits", "description", "os", "score-string", "score-range",
-         "published-string"],
+         "score-beyond-float", "score-beyond-float-negative", "published-string"],
 )
 def test_record_checks_every_field_by_exact_type(kwargs, message):
     with pytest.raises(ValueError, match=message):

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,6 +25,8 @@ from cverisk.vector import (
     metric_level,
     parse_vector,
     serialize_vector,
+    vector_codes,
+    vector_of,
 )
 
 from conftest import METRIC_CODES, all_vector_strings
@@ -351,8 +354,106 @@ def test_strings_with_one_code_share_one_frozen_vector():
     v = parse_vector(CANONICAL)
     assert parse_vector(shuffled) is v
     assert parse_vector(old, lenient=True) is v
+    assert vector_of(v.code) is v
     direct = CvssVector(*(getattr(v, field) for field, _ in _METRIC_ENUMS.values()))
     assert direct is not v
     assert direct == v and direct.code == v.code
     with pytest.raises(AttributeError):
         v.av = AttackVector.LOCAL
+
+
+def _codes(strings, lenient):
+    """``parse_vector``'s code for each string, or -1 where it raises."""
+    codes = []
+    for s in strings:
+        try:
+            codes.append(parse_vector(s, lenient=lenient).code)
+        except VectorError:
+            codes.append(-1)
+    return codes
+
+
+def _assert_codes_match(strings, min_valid=0):
+    for lenient in (False, True):
+        expected = _codes(strings, lenient)
+        got = vector_codes(strings, lenient)
+        assert got.dtype == np.intp and got.shape == (len(strings),)
+        mismatches = [(s, g, e) for s, g, e in zip(strings, got.tolist(), expected) if g != e]
+        assert mismatches == [], (lenient, mismatches[:5])
+        assert sum(code >= 0 for code in expected) >= min_valid
+
+
+def test_vector_codes_reads_every_vector_in_any_order_under_both_prefixes():
+    rng = random.Random(25)
+    strings = []
+    for vs in all_vector_strings():
+        tokens = vs.split("/")[1:]
+        orders = [tokens] + [rng.sample(tokens, len(tokens)) for _ in range(3)]
+        strings += ["/".join([prefix, *order]) for order in orders for prefix in ("CVSS:3.1", "CVSS:3.0")]
+    strict = vector_codes(strings)
+    lenient = vector_codes(strings, lenient=True)
+    expected = np.repeat(np.arange(2592), 8)
+    assert (lenient == expected).all()
+    assert (strict == np.where(np.arange(len(strings)) % 2 == 0, expected, -1)).all()
+    _assert_codes_match(strings)
+
+
+_EDIT_ALPHABET = "AVCIPRSUNLHX:/.013\u00e9 "
+
+
+def test_vector_codes_matches_parse_vector_on_every_one_character_edit():
+    rng = random.Random(2592)
+    pool = list(all_vector_strings())
+    strings = []
+    for base in rng.sample(pool, 50):
+        base = "/".join([base[:8], *rng.sample(base.split("/")[1:], 8)])
+        for k in range(len(base) + 1):
+            for c in _EDIT_ALPHABET:
+                strings.append(base[:k] + c + base[k:])  # insertion
+                if k < len(base):
+                    strings.append(base[:k] + c + base[k + 1 :])  # substitution
+            if k < len(base):
+                strings.append(base[:k] + base[k + 1 :])  # deletion
+    _assert_codes_match(strings, min_valid=50)
+
+
+_PREFIXES = ["CVSS:3.1", "CVSS:3.0", "CVSS:3.2", "cvss:3.1", "", "CVSS:3.1 ", "CVSS:3.10"]
+_JUNK = ["", " ", "AV", "XX", "E:H", "av:N", "AV:N:N", ":N", "AV:", "S:u", "A:HH", "C:H/", "AV:\u00e9"]
+_TOKEN_LISTS = st.lists(
+    st.sampled_from([f"{name}:{c}" for name, codes in METRIC_CODES for c in codes] + _JUNK),
+    max_size=10,
+) | st.tuples(
+    *(st.sampled_from([f"{name}:{c}" for c in codes]) for name, codes in METRIC_CODES)
+).flatmap(st.permutations)
+
+
+@given(st.sampled_from(_PREFIXES), _TOKEN_LISTS)
+def test_vector_codes_matches_parse_vector_on_token_lists(prefix, tokens):
+    _assert_codes_match(["/".join([prefix, *tokens])])
+
+
+def test_vector_codes_of_no_strings():
+    codes = vector_codes([])
+    assert codes.dtype == np.intp and codes.shape == (0,)
+
+
+def test_vector_codes_rejects_non_ascii_strings_of_vector_length():
+    strings = []
+    for base in (CANONICAL, "CVSS:3.0/S:U/AV:N/C:H/AC:L/I:H/PR:N/UI:N/A:H"):
+        for k in range(len(base)):
+            for c in ("\u00e9", "\uff1a", "\uff0f", "\u0130"):
+                strings.append(base[:k] + c + base[k + 1 :])
+    assert all(len(s) == 44 and not s.isascii() for s in strings)
+    assert (vector_codes(strings, lenient=True) == -1).all()
+    _assert_codes_match(strings)
+
+
+@pytest.mark.parametrize("n", [8192, 8193])
+def test_vector_codes_across_the_block_boundary(n):
+    """Blocks hold 8,192 strings of vector length; the strings around the
+    boundary, valid or not, keep their own codes."""
+    pool = list(all_vector_strings())
+    strings = [pool[k % len(pool)] for k in range(n)]
+    for k in range(n - 3, n, 2):
+        strings[k] = strings[k].replace("/A:", "/X:")  # same length, no longer valid
+    _assert_codes_match(strings, min_valid=n - 2)
