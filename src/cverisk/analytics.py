@@ -171,30 +171,37 @@ def correlation_matrix(fm: FactorMatrix) -> CorrelationMatrix:
 
 @dataclass(frozen=True)
 class ConditionalMatrix:
-    """P[row][col] = P(Y=col | X=row), with the raw counts retained."""
+    """P[row][col] = P(Y=col | X=row), with each cell's count and mean official score."""
 
     row_domain: tuple[str, ...]
     col_domain: tuple[str, ...]
     probs: np.ndarray
     counts: np.ndarray
+    means: np.ndarray
     empty_rows: tuple[str, ...] = ()
 
 
 def conditional_matrix(scored: ScoredBatch, x: str, y: str) -> ConditionalMatrix:
-    """Conditional distribution of factor ``y`` given factor ``x``.
+    """The x/y contingency table: counts, the conditional distribution of
+    factor ``y`` given factor ``x``, and the mean official score per cell.
 
     Rows over categories of ``x`` that never occur are all-zero and flagged
-    in ``empty_rows`` rather than renormalized.
+    in ``empty_rows`` rather than renormalized; empty cells have a NaN mean.
+    Every record needs an official score.
     """
     row_domain, rows = category_index(scored, x)
     col_domain, cols = category_index(scored, y)
-    counts = _cell_sums(rows, cols, (len(row_domain), len(col_domain)))
+    shape = (len(row_domain), len(col_domain))
+    counts = _cell_sums(rows, cols, shape)
+    sums = _cell_sums(rows, cols, shape, scored.officials)
+    with np.errstate(invalid="ignore"):
+        means = np.where(counts > 0, sums / np.maximum(counts, 1), math.nan)
     row_totals = counts.sum(axis=1)
-    probs = np.zeros(counts.shape, dtype=float)
+    probs = np.zeros(shape, dtype=float)
     filled = row_totals > 0
     probs[filled] = counts[filled] / row_totals[filled, None]
     empty = tuple(label for label, total in zip(row_domain, row_totals) if total == 0)
-    return ConditionalMatrix(row_domain, col_domain, probs, counts, empty)
+    return ConditionalMatrix(row_domain, col_domain, probs, counts, means, empty)
 
 
 # --------------------------------------------------------------------------
@@ -331,29 +338,6 @@ def high_risk_share(
         HighRiskShare(label, total, hi, hi / total if total else math.nan)
         for label, total, hi in zip(domain, totals, high)
     ]
-
-
-@dataclass(frozen=True)
-class CrossTable:
-    """Mean official score per (x, y) category pair, with the cell counts."""
-
-    row_domain: tuple[str, ...]
-    col_domain: tuple[str, ...]
-    means: np.ndarray
-    counts: np.ndarray
-
-
-def cross_statistics(scored: ScoredBatch, x: str, y: str) -> CrossTable:
-    """Cell means of the official score over the x/y category grid; empty
-    cells are NaN."""
-    row_domain, rows = category_index(scored, x)
-    col_domain, cols = category_index(scored, y)
-    shape = (len(row_domain), len(col_domain))
-    sums = _cell_sums(rows, cols, shape, scored.officials)
-    counts = _cell_sums(rows, cols, shape)
-    with np.errstate(invalid="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), math.nan)
-    return CrossTable(row_domain, col_domain, means, counts)
 
 
 # --------------------------------------------------------------------------

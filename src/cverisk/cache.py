@@ -83,7 +83,7 @@ def read_header(path) -> dict:
 def _header(first: bytes) -> dict:
     try:
         header = json.loads(first.decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise CacheFormatError(1, f"bad header: {exc}") from exc
     if not isinstance(header, dict):
         raise CacheFormatError(1, "header is not a JSON object")
@@ -123,7 +123,7 @@ def read_cache(path, *, lenient: bool = False) -> RecordColumns:
                 if end != len(text) - 1 or text[end] != "\n":
                     data = json.loads(text)
                 cve_id, description, when, official, vector, system = record_fields(data)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 if lenient:
                     logger.warning("skipping corrupt cache line %d: %s", line_no, exc)
                     continue

@@ -272,7 +272,7 @@ def report(bundle_dir: str):
         _fail(EXIT_IO, f"no summary.json in {bundle_dir}")
     except OSError as exc:
         _fail(EXIT_IO, f"cannot read {summary_path}: {exc}")
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         _fail(EXIT_DATA, f"summary.json is not valid JSON: {exc}")
     try:
         check_bundle(out, summary)

@@ -185,7 +185,7 @@ class NvdClient:
                 if resp.status_code == 200:
                     try:
                         return resp.json()
-                    except ValueError as exc:
+                    except (ValueError, RecursionError) as exc:
                         last = f"malformed JSON body: {exc}"
                 elif resp.status_code == 429 or resp.status_code >= 500:
                     last = f"HTTP {resp.status_code}"

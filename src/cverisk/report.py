@@ -26,7 +26,6 @@ from .analytics import (
     category_index,
     conditional_matrix,
     correlation_matrix,
-    cross_statistics,
     ecdf,
     group_statistics,
     high_risk_share,
@@ -295,10 +294,12 @@ def build_bundle(
     tables["privilege_score_stats"] = _stats_table("privileges_required", pr_stats)
     summary["privileges"] = {"score_stats": [asdict(g) for g in pr_stats]}
 
-    def add_conditional(prefix: str, x: str, y: str, row_header: str):
+    def add_conditional(prefix: str, x: str, y: str, row_header: str, matrices=("counts", "probs")):
+        """Table ``{prefix}_{name}`` for each of the x/y table's ``matrices``."""
         cm = conditional_matrix(scored, x, y)
-        tables[f"{prefix}_counts"] = _matrix_table(row_header, cm.row_domain, cm.col_domain, cm.counts)
-        tables[f"{prefix}_probs"] = _matrix_table(row_header, cm.row_domain, cm.col_domain, cm.probs)
+        for name in matrices:
+            values = cm.means if name == "mean_score" else getattr(cm, name)
+            tables[f"{prefix}_{name}"] = _matrix_table(row_header, cm.row_domain, cm.col_domain, values)
         return cm
 
     ac_sev = add_conditional("complexity_severity", "AC", "official_severity", "attack_complexity")
@@ -312,14 +313,9 @@ def build_bundle(
         }
     }
 
-    def add_cross(prefix: str, x: str, y: str, row_header: str):
-        ct = cross_statistics(scored, x, y)
-        tables[f"{prefix}_mean_score"] = _matrix_table(row_header, ct.row_domain, ct.col_domain, ct.means)
-        tables[f"{prefix}_counts"] = _matrix_table(row_header, ct.row_domain, ct.col_domain, ct.counts)
-        return ct
-
-    acpr = add_cross("complexity_privilege", "AC", "PR", "attack_complexity")
-    ia = add_cross("integrity_availability", "I", "A", "integrity")
+    with_means = ("counts", "mean_score")
+    acpr = add_conditional("complexity_privilege", "AC", "PR", "attack_complexity", with_means)
+    ia = add_conditional("integrity_availability", "I", "A", "integrity", with_means)
 
     hm = conditional_matrix(scored[officials >= HIGH_RISK_THRESHOLD], "AC", "PR")
     tables["high_risk_complexity_privilege"] = _matrix_table(

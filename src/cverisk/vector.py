@@ -125,7 +125,7 @@ METRIC_NAMES = tuple(_METRICS)
 # Each metric's members in enum order, so a code digit indexes its value.
 _MEMBERS = tuple(tuple(enum) for _, enum in _METRICS.values())
 _RADICES = tuple(len(members) for members in _MEMBERS)
-# Place value of each metric's digit in a code: (864, 432, 144, 72, 36, 12, 4, 1).
+# Place value of each metric's digit in a code: (648, 324, 108, 54, 27, 9, 3, 1).
 _PLACES = tuple(math.prod(_RADICES[k + 1 :]) for k in range(len(_RADICES)))
 VECTOR_COUNT = math.prod(_RADICES)  # 2,592 valid vectors, codes 0..2591
 # Each valid token, e.g. "AV:N" -> (metric position, digit * place value).

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cverisk.cache import read_cache
 from cverisk.model import ScoredBatch, SeverityThresholds, score_records
@@ -21,6 +22,11 @@ from cverisk.records import CveRecord, RecordColumns
 REPO = Path(__file__).resolve().parents[1]
 DATA_DIR = Path(__file__).parent / "data"
 SAMPLE_CACHE = DATA_DIR / "sample_cache.jsonl"
+
+# For property tests whose examples each run whole commands: a fixed number
+# of examples, drawn the same way on every run and every Python version, so
+# a failure reproduces and the suite's run time stays bounded.
+settings.register_profile("bounded-commands", derandomize=True, max_examples=40, deadline=None)
 
 # Metric name -> admissible codes, in canonical serialization order.
 METRIC_CODES = (

@@ -112,6 +112,41 @@ def conditional_counts(pairs, row_domain, col_domain):
     return table
 
 
+def conditional_probs(pairs, row_domain, col_domain):
+    """Nested dict of P(y | x) for (x, y) category pairs; a row with no
+    pairs is all zero."""
+    counts = conditional_counts(pairs, row_domain, col_domain)
+    out = {}
+    for r in row_domain:
+        total = sum(counts[r].values())
+        out[r] = {c: counts[r][c] / total if total else 0.0 for c in col_domain}
+    return out
+
+
+def cell_means(triples, row_domain, col_domain):
+    """Nested dict of the mean of v over the (x, y, v) triples of each
+    cell; NaN for a cell with no triple."""
+    out = {}
+    for r in row_domain:
+        out[r] = {}
+        for c in col_domain:
+            vs = [v for x, y, v in triples if x == r and y == c]
+            out[r][c] = sum(vs) / len(vs) if vs else math.nan
+    return out
+
+
+def high_risk_share(pairs, domain, threshold=7.0):
+    """(count, high-risk count, share) per category of (category, score)
+    pairs; a score is high risk at or above ``threshold``. The share of a
+    category with no pairs is NaN."""
+    out = {}
+    for label in domain:
+        scores = [s for c, s in pairs if c == label]
+        high = sum(1 for s in scores if s >= threshold)
+        out[label] = (len(scores), high, high / len(scores) if scores else math.nan)
+    return out
+
+
 def trapezoid(ys, xs):
     return sum(
         0.5 * (ys[k] + ys[k + 1]) * (xs[k + 1] - xs[k]) for k in range(len(xs) - 1)

@@ -20,7 +20,6 @@ from cverisk.analytics import (
     UnknownFactorError,
     conditional_matrix,
     correlation_matrix,
-    cross_statistics,
     ecdf,
     group_statistics,
     high_risk_share,
@@ -432,7 +431,7 @@ def test_group_statistics_empty_input():
         group_statistics([], "AV")
 
 
-# --- high-risk share and cross tables ---------------------------------------
+# --- high-risk share and cell means -----------------------------------------
 
 
 def test_high_risk_share_zero_when_all_below():
@@ -465,7 +464,7 @@ def test_cross_statistics_cell_means():
             ("AV:N/AC:H/PR:L/UI:N/S:U/C:H/I:N/A:N", 5.0),
         ]
     )
-    table = cross_statistics(batch, "AC", "PR")
+    table = conditional_matrix(batch, "AC", "PR")
     low_none = table.means[table.row_domain.index("Low"), table.col_domain.index("None")]
     assert low_none == pytest.approx(8.5, abs=1e-12)
     assert table.counts[table.row_domain.index("Low"), table.col_domain.index("None")] == 2

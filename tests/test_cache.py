@@ -130,6 +130,35 @@ def test_non_utf8_header_is_a_bad_header(tmp_path):
         assert err.value.line_no == 1
 
 
+# Deeper than any recursion limit: both JSON decoders raise RecursionError.
+DEEP_JSON = "[" * 100_000
+
+
+def test_deeply_nested_line_is_a_corrupt_line(tmp_path, caplog):
+    path = write_cache(some_records(4), tmp_path / "c.jsonl", retrieved_at=FIXED_TS)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = DEEP_JSON + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(CacheFormatError) as err:
+        read_cache(path)
+    assert err.value.line_no == 3
+    assert "recursion" in err.value.reason
+    with caplog.at_level(logging.WARNING, logger="cverisk.cache"):
+        records = read_cache(path, lenient=True)
+    assert [r.cve_id for r in records] == ["CVE-2024-10000", "CVE-2024-10002", "CVE-2024-10003"]
+    assert "skipping corrupt cache line 3" in caplog.text
+
+
+def test_deeply_nested_header_is_a_bad_header(tmp_path):
+    path = write_cache(some_records(1), tmp_path / "c.jsonl", retrieved_at=FIXED_TS)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(DEEP_JSON + "\n" + lines[1], encoding="utf-8")
+    for read in (read_header, read_cache):
+        with pytest.raises(CacheFormatError, match="^line 1: bad header: ") as err:
+            read(path)
+        assert err.value.line_no == 1
+
+
 def test_lines_split_on_lf_only(tmp_path):
     path = write_cache(some_records(3), tmp_path / "c.jsonl", retrieved_at=FIXED_TS)
     crlf = path.read_bytes().replace(b"\n", b"\r\n")

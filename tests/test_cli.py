@@ -2,10 +2,12 @@
 contracts for the usual failure modes."""
 
 import contextlib
+import csv
 import errno
 import io
 import itertools
 import json
+import math
 import os
 import platform
 import random
@@ -18,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 import cverisk
 import cverisk.cli as cli_module
@@ -29,6 +32,7 @@ from cverisk.nvd import NetworkError, RateLimiter, fetch_window
 from cverisk.records import CveRecord
 from cverisk.report import CsvLines, score_rows
 
+import oracles
 from conftest import REPO, SAMPLE_CACHE, make_record, score_one
 from test_nvd import FakeResponse, FakeSession, api_item, page_payload
 
@@ -209,6 +213,120 @@ def test_analyze_passes_the_benchmark_output_checks(bench_gen, tmp_path):
     assert check.check_analyze(REPO, out, truth, exclude, weights) == []
 
 
+# Category labels of the fixture's factors, by vector value, in the order
+# of the report's rows and columns.
+_LEVELS = {"N": "None", "L": "Low", "H": "High"}
+_LABELS = {
+    "AV": {"N": "Network", "A": "Adjacent", "L": "Local", "P": "Physical"},
+    "AC": {"L": "Low", "H": "High"},
+    "PR": _LEVELS,
+    "UI": {"N": "None", "R": "Required"},
+    "S": {"U": "Unchanged", "C": "Changed"},
+    "C": _LEVELS,
+    "I": _LEVELS,
+    "A": _LEVELS,
+}
+_DOMAINS = {
+    **{name: tuple(labels.values()) for name, labels in _LABELS.items()},
+    "combined_cia": tuple(_LEVELS.values()),
+    "official_severity": ("Low", "Medium", "High", "Critical"),
+}
+# Table prefix: (row factor, column factor, row header, matrices written).
+_CONTINGENCY_TABLES = {
+    "complexity_severity": ("AC", "official_severity", "attack_complexity", ("counts", "probs")),
+    "av_severity": ("AV", "official_severity", "attack_vector", ("counts", "probs")),
+    "ui_confidentiality": ("UI", "C", "user_interaction", ("counts", "probs")),
+    "av_combined_impact": ("AV", "combined_cia", "attack_vector", ("counts", "probs")),
+    "complexity_privilege": ("AC", "PR", "attack_complexity", ("counts", "mean_score")),
+    "integrity_availability": ("I", "A", "integrity", ("counts", "mean_score")),
+}
+
+
+def _fixture_categories():
+    """(categories, official score) of each record that ``analyze`` scores,
+    read by hand from the fixture's raw lines: a record with an official
+    score and a CVSS v3.1 vector. Severity uses the default thresholds."""
+    out = []
+    for line in SAMPLE_CACHE.read_text(encoding="utf-8").splitlines()[1:]:
+        data = json.loads(line)
+        official, vector = data.get("official_score"), data.get("vector_string")
+        if official is None or vector is None:
+            continue
+        prefix, *tokens = vector.split("/")
+        values = dict(token.split(":") for token in tokens)
+        assert prefix == "CVSS:3.1" and len(tokens) == 8 and values.keys() == _LABELS.keys(), vector
+        cats = {name: _LABELS[name][values[name]] for name in _LABELS}
+        worst = max("NLH".index(values[m]) for m in "CIA")
+        cats["combined_cia"] = _DOMAINS["combined_cia"][worst]
+        cats["official_severity"] = _DOMAINS["official_severity"][
+            (official >= 4.0) + (official >= 7.0) + (official >= 9.0)
+        ]
+        out.append((cats, official))
+    return out
+
+
+def _assert_cell(where, got: str, want):
+    """A CSV cell against its oracle: an int exactly, a float to 1e-12
+    relative, and NaN as a blank cell."""
+    if isinstance(want, int):
+        assert got == str(want), where
+    elif math.isnan(want):
+        assert got == "", where
+    else:
+        assert math.isclose(float(got), want, rel_tol=1e-12, abs_tol=0.0), (where, got, want)
+
+
+def _assert_matrix(path, row_header, row_domain, col_domain, want):
+    with path.open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == [row_header, *col_domain], path.name
+    assert [row[0] for row in rows[1:]] == list(row_domain), path.name
+    for row in rows[1:]:
+        assert len(row) == 1 + len(col_domain), path.name
+        for col, cell in zip(col_domain, row[1:]):
+            _assert_cell((path.name, row[0], col), cell, want[row[0]][col])
+
+
+def test_analyze_contingency_tables_and_high_risk_shares_match_the_oracles(runner, tmp_path):
+    """Fixture ``analyze``: the per-vector high-risk shares (summary and
+    CSV), every contingency table's counts, P(y | x) and cell means, and the
+    high-risk AC x PR counts, recomputed from the raw cache lines with
+    ``tests/oracles.py``."""
+    out = tmp_path / "bundle"
+    result = runner.invoke(main, ["analyze", "--cache", str(SAMPLE_CACHE), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    records = _fixture_categories()
+    assert sum(official == 7.0 for _, official in records) > 0  # the threshold's own value occurs
+
+    av = oracles.high_risk_share([(c["AV"], o) for c, o in records], _DOMAINS["AV"], 7.0)
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    shares = summary["attack_vector"]["high_risk_share"]
+    assert sorted(shares) == sorted(av)
+    for label, (count, high, share) in av.items():
+        assert (shares[label]["count"], shares[label]["high_risk"]) == (count, high), label
+        assert math.isclose(shares[label]["share"], share, rel_tol=1e-12, abs_tol=0.0), label
+    av_rows = {label: {"count": count, "high_risk_count": high, "share": share}
+               for label, (count, high, share) in av.items()}
+    _assert_matrix(out / "attack_vector_high_risk.csv", "attack_vector", _DOMAINS["AV"],
+                   ("count", "high_risk_count", "share"), av_rows)
+
+    for prefix, (x, y, row_header, matrices) in _CONTINGENCY_TABLES.items():
+        rows, cols = _DOMAINS[x], _DOMAINS[y]
+        pairs = [(c[x], c[y]) for c, _ in records]
+        want = {
+            "counts": oracles.conditional_counts(pairs, rows, cols),
+            "probs": oracles.conditional_probs(pairs, rows, cols),
+            "mean_score": oracles.cell_means([(c[x], c[y], o) for c, o in records], rows, cols),
+        }
+        for name in matrices:
+            _assert_matrix(out / f"{prefix}_{name}.csv", row_header, rows, cols, want[name])
+
+    high = [(c["AC"], c["PR"]) for c, o in records if o >= 7.0]
+    _assert_matrix(out / "high_risk_complexity_privilege.csv", "attack_complexity",
+                   _DOMAINS["AC"], _DOMAINS["PR"],
+                   oracles.conditional_counts(high, _DOMAINS["AC"], _DOMAINS["PR"]))
+
+
 def _cpu_has_fma():
     if platform.machine().lower() not in ("x86_64", "amd64") or platform.libc_ver()[0] != "glibc":
         return False
@@ -387,6 +505,113 @@ def test_lenient_mode_rides_over_corrupt_lines(runner, cache_copy, tmp_path):
     )
     assert lenient.exit_code == 0, lenient.output
     assert "scored 193 records" in lenient.output
+
+
+def test_deeply_nested_json_in_an_input_file_is_a_data_error(runner, cache_copy, tmp_path):
+    """A cache header or a ``summary.json`` nested deeper than any recursion
+    limit (a record line is one case of the hostile-line property test)."""
+    deep = "[" * 100_000
+    lines = cache_copy.read_text(encoding="utf-8").splitlines(keepends=True)
+    cache_copy.write_text("".join([deep + "\n", *lines[1:]]), encoding="utf-8")
+    header = runner.invoke(
+        main, ["score", "--cache", str(cache_copy), "--lenient", "--out", str(tmp_path / "header")]
+    )
+    assert header.exit_code == 3, header.output
+    assert f"error: bad cache {cache_copy}: line 1: bad header: " in header.output
+
+    bundle = tmp_path / "bundle"
+    analyze = runner.invoke(main, ["analyze", "--cache", str(SAMPLE_CACHE), "--out", str(bundle)])
+    assert analyze.exit_code == 0, analyze.output
+    (bundle / "summary.json").write_text(deep, encoding="utf-8")
+    report = runner.invoke(main, ["report", "--bundle", str(bundle)])
+    assert report.exit_code == 3, report.output
+    assert "error: summary.json is not valid JSON: maximum recursion depth" in report.output
+
+
+_EDITED_FIELDS = ("cve_id", "description", "published", "official_score", "vector_string", "affected_os")
+_DEEP = "[" * 100_000 + "]" * 100_000  # deeper than any recursion limit
+# (kind, parameter) of an edit to one field of a record line; see ``_edit_line``.
+_HOSTILE_EDITS = st.one_of(
+    st.tuples(st.just("value"), st.sampled_from(
+        ["null", "true", "0", "1.5", '"x"', "[]", "{}", "NaN", "Infinity", "-Infinity", _DEEP]
+    )),
+    st.tuples(st.just("value"), st.sampled_from([20, 309, 400, 5000]).map(lambda n: "1" + "0" * n)),
+    st.tuples(st.just("surrogate"), st.sampled_from(["\\ud800", "\\udfff"])),
+    st.tuples(st.just("bytes"), st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])),
+    st.tuples(st.just("bom"), st.none()),
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True)),
+)
+
+
+def _edit_line(line: bytes, field: str, kind: str, param) -> bytes:
+    """``line`` (no LF) with field ``field``'s value replaced by the JSON
+    text ``param`` ("value") or prefixed with the escape of a lone surrogate
+    ("surrogate"); or with the bytes ``param`` put in front of the field
+    ("bytes"), a BOM in front of the line ("bom"), or cut to its first
+    ``param`` share ("truncate")."""
+    data = json.loads(line)
+    if kind == "value":
+        data[field] = "\0"  # JSON writes it as one token, "\u0000"
+        return json.dumps(data, sort_keys=True).replace('"\\u0000"', param, 1).encode()
+    if kind == "surrogate":
+        data[field] = "\0" + (data[field] if isinstance(data.get(field), str) else "x")
+        return json.dumps(data, sort_keys=True).replace("\\u0000", param, 1).encode()
+    if kind == "bytes":
+        return line.replace(f'"{field}"'.encode(), param + f'"{field}"'.encode(), 1)
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + line
+    return line[: int(param * len(line))]
+
+
+@settings(settings.get_profile("bounded-commands"))
+@given(record=st.integers(0, 5), field=st.sampled_from(_EDITED_FIELDS), edit=_HOSTILE_EDITS)
+@example(record=2, field="official_score", edit=("value", _DEEP))
+@example(record=2, field="official_score", edit=("value", "1" + "0" * 5000))
+@example(record=2, field="official_score", edit=("value", "NaN"))
+@example(record=2, field="vector_string", edit=("surrogate", "\\ud800"))
+@example(record=2, field="description", edit=("surrogate", "\\ud800"))
+def test_a_hostile_cache_line_is_read_or_dropped_alone(tmp_path_factory, record, field, edit):
+    """A record line of a six-record cache, edited: deep nesting, huge
+    integers, NaN and Infinity, a wrong JSON type in any field, lone
+    surrogates, bytes that are not UTF-8, a BOM, or a cut. Strict ``score``
+    exits 0 or 3 (naming the line) with no traceback; ``--lenient`` scores
+    what strict mode scores when it exits 0, and otherwise drops the edited
+    record alone."""
+    what = (record, field, edit[0], str(edit[1])[:20])
+    tmp = tmp_path_factory.mktemp("edit")
+    lines = SAMPLE_CACHE.read_bytes().splitlines(keepends=True)[1:7]
+    header = json.dumps({"count": 6, "retrieved_at": "2024-01-20T12:00:00+00:00",
+                         "schema": "cve-cache/1"}).encode() + b"\n"
+    edited_id = json.loads(lines[record])["cve_id"]
+    clean, cache = tmp / "clean.jsonl", tmp / "cache.jsonl"
+    clean.write_bytes(header + b"".join(lines))
+    lines[record] = _edit_line(lines[record].rstrip(b"\n"), field, *edit) + b"\n"
+    cache.write_bytes(header + b"".join(lines))
+    runner = CliRunner()
+
+    def score(path, *flags):
+        """The exit code, the output and, on success, the rows of both files."""
+        out = tmp / f"{path.stem}{''.join(flags)}"
+        result = runner.invoke(main, ["score", "--cache", str(path), *flags, "--out", str(out)])
+        assert result.exit_code in (0, 3), (what, result.output, result.exception)
+        assert "Traceback" not in result.output, what
+        files = ("scores.csv", "skip_report.csv")
+        rows = None if result.exit_code else [(out / f).read_text(encoding="utf-8").splitlines() for f in files]
+        return result.exit_code, result.output, rows
+
+    def others(tables):
+        return [[row for row in rows if not row.startswith(f"{edited_id},")] for rows in tables]
+
+    code, output, strict = score(cache)
+    lenient_code, _, lenient = score(cache, "--lenient")
+    assert lenient_code == 0, what
+    clean_rows = score(clean)[2]
+    if code == 0:  # the line was read: both modes score it alike
+        assert lenient == strict, what
+        assert others(lenient) == others(clean_rows), what
+    else:
+        assert f"line {record + 2}: " in output, (what, output)
+        assert lenient == others(clean_rows), what
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """API client tests against a scripted fake session: pagination, retry and
 backoff, rate limiting, and response normalization. No network involved."""
 
+import json
 import logging
 import random
 from datetime import datetime, timedelta, timezone
@@ -197,6 +198,26 @@ def test_timeout_and_bad_json_are_retried():
     )
     records = make_client(session).fetch_window(WINDOW)
     assert len(records) == 1
+    assert len(session.calls) == 3
+
+
+class DeepJsonResponse(FakeResponse):
+    """A 200 response whose body nests deeper than the JSON decoder can go."""
+
+    def json(self):
+        return json.loads("[" * 100_000)
+
+
+def test_a_deeply_nested_body_is_a_malformed_body():
+    session = FakeSession(
+        [DeepJsonResponse(), FakeResponse(payload=page_payload([api_item("CVE-2024-0001")], 1))]
+    )
+    assert [r.cve_id for r in make_client(session).fetch_window(WINDOW)] == ["CVE-2024-0001"]
+    session = FakeSession([DeepJsonResponse() for _ in range(3)])
+    with pytest.raises(NetworkError) as err:
+        make_client(session, max_attempts=3).fetch_window(WINDOW)
+    assert err.value.attempts == 3
+    assert "malformed JSON body: maximum recursion depth" in str(err.value)
     assert len(session.calls) == 3
 
 
