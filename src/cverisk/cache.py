@@ -15,6 +15,7 @@ from datetime import datetime, timezone
 from itertools import chain
 from json.scanner import make_scanner
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import write_atomic
 from .records import CveRecord, RecordColumns, as_utc, record_fields
@@ -92,18 +93,35 @@ def _header(first: bytes) -> dict:
     return header
 
 
+class Cache(NamedTuple):
+    """One pass over a cache file: its header, its records as columns and
+    the SHA-256 of the bytes after the header line, as they were read."""
+
+    header: dict
+    records: RecordColumns
+    body_sha256: str
+
+
 def read_cache(path, *, lenient: bool = False) -> RecordColumns:
-    """Load all records from a cache file, as columns.
+    """Load all records from a cache file, as columns (see ``load_cache``)."""
+    return load_cache(path, lenient=lenient).records
+
+
+def load_cache(path, *, lenient: bool = False) -> Cache:
+    """Read a cache file once: its header, records and body digest.
 
     A corrupt or duplicate line aborts with its line number; under
     ``lenient`` it is skipped with a warning instead. So does a header
     ``count`` that is not an ``int`` (``true`` and ``1.0`` are not) or
     differs from the number of lines after the header, as in a truncated
-    file; per-line errors are reported first.
+    file; per-line errors are reported first. The digest covers every byte
+    after the header line, skipped lines included; the header, which holds
+    the retrieval time, is left out.
     """
     path = Path(path)
     ids, descriptions, published, officials, vectors, systems = columns = [], [], [], [], [], []
     seen: set[str] = set()
+    digest = hashlib.sha256()
     # The C scanner reads a line that holds one JSON value followed by its
     # LF; any other line goes to ``json.loads``, which reads it the same way
     # or raises the error the line is reported with.
@@ -111,9 +129,11 @@ def read_cache(path, *, lenient: bool = False) -> RecordColumns:
     # Binary lines split on LF only; each is decoded on its own, so a
     # non-UTF-8 line is one corrupt line.
     with path.open("rb") as fh:
-        expected = _header(fh.readline()).get("count")
+        header = _header(fh.readline())
+        expected = header.get("count")
         line_no = 1
         for line_no, line in enumerate(fh, start=2):
+            digest.update(line)
             try:
                 text = line.decode("utf-8")
                 try:
@@ -145,14 +165,5 @@ def read_cache(path, *, lenient: bool = False) -> RecordColumns:
         if not lenient:
             raise CacheFormatError(1, reason)
         logger.warning("%s: %s", path, reason)
-    return RecordColumns(*columns)
+    return Cache(header, RecordColumns(*columns), digest.hexdigest())
 
-
-def body_sha256(path) -> str:
-    """Hash of everything after the header line; stable across retrieval times."""
-    digest = hashlib.sha256()
-    with Path(path).open("rb") as fh:
-        fh.readline()
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()

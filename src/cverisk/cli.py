@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .cache import CacheError, DuplicateIdError, body_sha256, read_cache, read_header, write_cache
+from .cache import Cache, CacheError, DuplicateIdError, load_cache, write_cache
 from .calibration import (
     BadGridStepError,
     EmptyCalibrationSetError,
@@ -91,9 +91,9 @@ def _parse_window(text: str) -> tuple[datetime, datetime]:
     return start, end
 
 
-def _read_cache_or_fail(path: str, lenient: bool):
+def _read_cache_or_fail(path: str, lenient: bool) -> Cache:
     with _reading("cache", path, CacheError):
-        return read_header(path), read_cache(path, lenient=lenient)
+        return load_cache(path, lenient=lenient)
 
 
 def _load_model_config(config_path: str | None, baseline: str | None) -> ModelConfig:
@@ -107,14 +107,6 @@ def _load_model_config(config_path: str | None, baseline: str | None) -> ModelCo
         with _reading("config", config_path, ConfigError):
             return load_config(config_path)
     return ModelConfig()
-
-
-def _cache_info(path: str, header) -> dict:
-    return {
-        "cache_schema": header.get("schema"),
-        "cache_retrieved_at": header.get("retrieved_at"),
-        "dataset_sha256": body_sha256(path),
-    }
 
 
 @click.group()
@@ -174,7 +166,7 @@ def _calibration_sample(records, n_cal: int, seed: int, lenient: bool) -> Scored
               help="Whether a malformed cache line aborts the run.")
 def calibrate(cache_path: str, out_dir: str, n_cal: int, seed: int, grid_step: float, strict: bool):
     """Fit model weights against official scores on a seeded sample."""
-    _, records = _read_cache_or_fail(cache_path, lenient=not strict)
+    records = _read_cache_or_fail(cache_path, lenient=not strict).records
     sample = _calibration_sample(records, n_cal, seed, lenient=not strict)
     try:
         weights = calibrate_weights(sample, grid_step=grid_step)
@@ -205,7 +197,7 @@ def calibrate(cache_path: str, out_dir: str, n_cal: int, seed: int, grid_step: f
 def score(cache_path: str, config_path: str | None, baseline: str | None, out_dir: str, strict: bool):
     """Score every record in a cache and write scores.csv."""
     config = _load_model_config(config_path, baseline)
-    _, records = _read_cache_or_fail(cache_path, lenient=not strict)
+    records = _read_cache_or_fail(cache_path, lenient=not strict).records
     scored, skipped = score_records(records, config, lenient=not strict)
     if not scored:
         _fail(EXIT_DATA, "no record in the cache could be scored")
@@ -243,16 +235,15 @@ def analyze(cache_path, config_path, baseline, out_dir, seed, exclude_path, fmt,
     """Run the full analysis over a cache and write the report bundle."""
     config = _load_model_config(config_path, baseline)
     exclude = _read_id_file(exclude_path) if exclude_path else frozenset()
-    header, records = _read_cache_or_fail(cache_path, lenient=not strict)
+    cache = _read_cache_or_fail(cache_path, lenient=not strict)
+    cache_info = {
+        "cache_schema": cache.header.get("schema"),
+        "cache_retrieved_at": cache.header.get("retrieved_at"),
+        "dataset_sha256": cache.body_sha256,
+    }
     try:
-        bundle = build_bundle(
-            records,
-            config,
-            exclude_ids=exclude,
-            lenient=not strict,
-            seed=seed,
-            cache_info=_cache_info(cache_path, header),
-        )
+        bundle = build_bundle(cache.records, config, exclude_ids=exclude, lenient=not strict,
+                              seed=seed, cache_info=cache_info)
     except (EmptyDatasetError, UnscoreableAllError) as exc:
         _fail(EXIT_DATA, str(exc))
     with _writing(out_dir):

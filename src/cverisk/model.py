@@ -13,7 +13,7 @@ import numpy as np
 
 from .encoding import ETA, FACTOR_NAMES, AttributeMaps, encode_factors
 from .records import CveRecord, RecordColumns
-from .vector import VECTOR_COUNT, CvssVector, VectorError, parse_vector, vector_codes, vector_of
+from .vector import CvssVector, VectorError, parse_vector, vector_codes, vector_of
 
 #: Absolute slack absorbed when deciding whether a value already sits on the
 #: rounding grid.
@@ -213,10 +213,10 @@ def score_records(
 
     Recognizes the distinct vector strings in bulk (``vector_codes``) and
     scores each distinct vector code once, into one row of the batch's
-    table, in order of first appearance; ``parse_vector`` runs only on the
-    strings that do not parse, for their error text. A record scores the
-    same alone as in any batch. No ``CveRecord`` is built: the batch
-    selects the kept records' columns.
+    table, in code order; ``parse_vector`` runs only on the strings that
+    do not parse, for their error text. A record scores the same alone as
+    in any batch. No ``CveRecord`` is built: the batch selects the kept
+    records' columns.
     """
     config = config or ModelConfig()
     records = RecordColumns.of(records)
@@ -236,14 +236,10 @@ def score_records(
             parse_vector(texts[k], lenient=lenient)
         except VectorError as exc:
             reasons[k] = str(exc)
-    valid = codes[codes >= 0]
-    distinct, first = np.unique(valid, return_index=True)
-    order = distinct[np.argsort(first)]  # the codes in order of first appearance
-    row_of = np.zeros(VECTOR_COUNT, dtype=np.intp)
-    row_of[order] = np.arange(len(order))
-    rows = np.where(codes >= 0, row_of[codes], -1)[which]
-    kept = rows >= 0
+    record_codes = codes[which]
+    kept = record_codes >= 0
+    order, rows = np.unique(record_codes[kept], return_inverse=True)
     table = [_score_vector(vector_of(code), config) for code in order.tolist()]
     skipped = [(records.ids[k], reasons[which[k]]) for k in np.flatnonzero(~kept).tolist()]
-    batch = ScoredBatch(records[kept], table, rows[kept], config.thresholds)
+    batch = ScoredBatch(records[kept], table, rows, config.thresholds)
     return batch, skipped

@@ -96,8 +96,7 @@ class RateLimiter:
             wait = self.period - (now - self._stamps[0])
             if wait > 0:
                 self._sleep(wait)
-            now = self._clock()
-            self._stamps = [t for t in self._stamps if now - t < self.period]
+            now = self._clock()  # the next call drops the stamps that aged out meanwhile
         self._stamps.append(now)
 
 

@@ -27,8 +27,9 @@ def parse_timestamp(text: str) -> datetime:
 
 def check_fields(cve_id, description, published, official_score, vector_string, affected_os) -> tuple:
     """The record contract, which ``CveRecord`` and the cache reader share:
-    the fields checked by exact type and returned in order, an ``int``
-    official score as ``float`` and ``published`` in UTC."""
+    the fields checked by exact type, each string encodable as UTF-8 (no
+    surrogate code point), and returned in order, an ``int`` official
+    score as ``float`` and ``published`` in UTC."""
     if type(cve_id) is not str or not CVE_ID_PATTERN.fullmatch(cve_id):
         raise ValueError(f"malformed CVE id: {cve_id!r}")
     if type(description) is not str:
@@ -47,7 +48,23 @@ def check_fields(cve_id, description, published, official_score, vector_string, 
             raise ValueError(f"{cve_id}: official score {score} outside [0, 10]")
     if type(published) is not datetime:
         raise ValueError(f"{cve_id}: published {published!r} is not a datetime")
+    # Only a surrogate code point fails to encode, so ASCII text needs no check.
+    if not description.isascii():
+        _check_utf8(cve_id, "description", description)
+    if vector_string and not vector_string.isascii():
+        _check_utf8(cve_id, "vector string", vector_string)
+    if affected_os and not affected_os.isascii():
+        _check_utf8(cve_id, "affected os", affected_os)
     return cve_id, description, as_utc(published), score, vector_string, affected_os
+
+
+def _check_utf8(cve_id: str, name: str, text: str) -> None:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(
+            f"{cve_id}: {name} holds {exc.object[exc.start]!r}, which UTF-8 cannot encode"
+        ) from None
 
 
 def record_fields(data: dict) -> tuple:

@@ -180,3 +180,30 @@ def best_weights(encodings, officials, n_div, lambda_grid, lo=0.5, hi=2.0, step=
                             if best is None or key < best:
                                 best = key
     return (*best[1], best[2])
+
+
+def binned_means(rows, edges):
+    """(count, per-column means) of the (key, values) rows in each bin
+    [edges[k], edges[k + 1]), the last bin closed; means are None for a
+    bin with no row."""
+    out = []
+    last = len(edges) - 2
+    for k in range(last + 1):
+        lo, hi = edges[k], edges[k + 1]
+        members = [vs for key, vs in rows if lo <= key < hi or (k == last and key == hi)]
+        if not members:
+            out.append((0, None))
+            continue
+        width = len(members[0])
+        out.append((len(members), [sum(vs[j] for vs in members) / len(members) for j in range(width)]))
+    return out
+
+
+def silverman_bandwidth(xs):
+    """0.9 * min(sample std, IQR / 1.34) * n ** -0.2; a zero spread falls
+    back to the std, and a zero std to 1e-3."""
+    sd = std(xs)
+    spread = min(sd, (quantile(xs, 0.75) - quantile(xs, 0.25)) / 1.34)
+    if spread <= 0.0:
+        spread = sd if sd > 0.0 else 1e-3
+    return 0.9 * spread * len(xs) ** -0.2

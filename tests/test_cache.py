@@ -12,7 +12,7 @@ from cverisk.cache import (
     CacheFormatError,
     DuplicateIdError,
     SchemaVersionMismatchError,
-    body_sha256,
+    load_cache,
     read_cache,
     read_header,
     write_cache,
@@ -258,7 +258,7 @@ def test_body_hash_ignores_retrieval_time(tmp_path):
         records, tmp_path / "b.jsonl", retrieved_at=datetime(2025, 6, 1, tzinfo=timezone.utc)
     )
     assert a.read_bytes() != b.read_bytes()
-    assert body_sha256(a) == body_sha256(b)
+    assert load_cache(a).body_sha256 == load_cache(b).body_sha256
 
 
 def test_full_grid_cache_is_byte_stable(tmp_path):
@@ -272,15 +272,15 @@ def test_full_grid_cache_is_byte_stable(tmp_path):
         for k, v in enumerate(all_vector_strings())
     ]
     path = write_cache(records, tmp_path / "grid.jsonl", retrieved_at=FIXED_TS)
-    first = body_sha256(path)
+    first = load_cache(path).body_sha256
     loaded = read_cache(path)
     assert len(loaded) == 2592
     write_cache(loaded, path, retrieved_at=FIXED_TS)
-    assert body_sha256(path) == first
+    assert load_cache(path).body_sha256 == first
 
 
 def test_shipped_fixture_hash_is_frozen():
-    assert body_sha256(SAMPLE_CACHE) == SAMPLE_CACHE_SHA256
+    assert load_cache(SAMPLE_CACHE).body_sha256 == SAMPLE_CACHE_SHA256
 
 
 def test_shipped_fixture_contents():

@@ -4,6 +4,7 @@ contracts for the usual failure modes."""
 import contextlib
 import csv
 import errno
+import hashlib
 import io
 import itertools
 import json
@@ -23,6 +24,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import cverisk
+import cverisk.cache as cache_module
 import cverisk.cli as cli_module
 from cverisk import __version__
 from cverisk.cache import read_cache, write_cache
@@ -325,6 +327,88 @@ def test_analyze_contingency_tables_and_high_risk_shares_match_the_oracles(runne
     _assert_matrix(out / "high_risk_complexity_privilege.csv", "attack_complexity",
                    _DOMAINS["AC"], _DOMAINS["PR"],
                    oracles.conditional_counts(high, _DOMAINS["AC"], _DOMAINS["PR"]))
+
+
+# Each category's default encoding: the CVSS v3.1 coefficient over its
+# metric's largest, the scope as 0 or 1 and the fixed impact levels.
+_ENCODINGS = {
+    "AV": {"Network": 1.0, "Adjacent": 0.62 / 0.85, "Local": 0.55 / 0.85, "Physical": 0.2 / 0.85},
+    "AC": {"Low": 1.0, "High": 0.44 / 0.77},
+    "PR": {"None": 1.0, "Low": 0.62 / 0.85, "High": 0.27 / 0.85},
+    "UI": {"None": 1.0, "Required": 0.62 / 0.85},
+    "S": {"Unchanged": 0.0, "Changed": 1.0},
+    **{comp: {"None": 0.0, "Low": 0.22, "High": 0.56} for comp in "CIA"},
+}
+
+
+def test_analyze_correlations_and_cia_bins_match_the_oracles(runner, tmp_path):
+    """Fixture ``analyze``: each factor's correlation with the official
+    score in ``summary.json`` and in the executive summary, and every cell
+    of ``cia_by_score_bin.csv``, recomputed from the raw cache lines with
+    ``tests/oracles.py``. The oracle sums in another order than numpy, so
+    a correlation agrees to 1e-9."""
+    out = tmp_path / "bundle"
+    result = runner.invoke(main, ["analyze", "--cache", str(SAMPLE_CACHE), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    records = _fixture_categories()
+    officials = [official for _, official in records]
+
+    want = {name: oracles.pearson([encoding[c[name]] for c, _ in records], officials)
+            for name, encoding in _ENCODINGS.items()}
+    assert not any(math.isnan(r) for r in want.values())  # every factor varies in the fixture
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    got = summary["correlations"]["cvss"]
+    assert sorted(got) == sorted(want)
+    for name, r in want.items():
+        assert math.isclose(got[name], r, rel_tol=1e-9, abs_tol=0.0), (name, got[name], r)
+    ranked = sorted(want.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
+    line = "Correlation with the official score: " + ", ".join(f"{n} {r:+.2f}" for n, r in ranked)
+    assert line in (out / "executive_summary.txt").read_text(encoding="utf-8").splitlines()
+
+    edges = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
+    labels = ("[0,2)", "[2,4)", "[4,6)", "[6,8)", "[8,10]")
+    cia = [(o, [_ENCODINGS[comp][c[comp]] for comp in "CIA"]) for c, o in records]
+    columns = ("count", "mean_confidentiality", "mean_integrity", "mean_availability")
+    bins = {}
+    for label, (count, means) in zip(labels, oracles.binned_means(cia, edges)):
+        bins[label] = dict(zip(columns, (count, *(means or [math.nan] * 3))))
+    _assert_matrix(out / "cia_by_score_bin.csv", "score_bin", labels, columns, bins)
+
+
+def test_analyze_draws_a_density_and_ranks_at_exactly_two_records(runner, tmp_path):
+    """Two scored records, both network-based: the group of two gets its
+    density and Spearman's rho over the two pairs has a value, each
+    checked against ``tests/oracles.py``."""
+    cache = write_cache(
+        [make_record(cve_id="CVE-2024-20001", official=9.8,
+                     vector="CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H"),
+         make_record(cve_id="CVE-2024-20002", official=3.1,
+                     vector="CVSS:3.1/AV:N/AC:H/PR:L/UI:R/S:U/C:L/I:N/A:N")],
+        tmp_path / "two.jsonl",
+    )
+    out = tmp_path / "bundle"
+    result = runner.invoke(main, ["analyze", "--cache", str(cache), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+
+    assert summary["kde"]["skipped"] == ["Adjacent", "Local", "Physical"]
+    h = oracles.silverman_bandwidth([9.8, 3.1])
+    assert math.isclose(summary["kde"]["bandwidths"]["Network"], h, rel_tol=1e-12)
+    with (out / "kde_network.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["score", "density"] and len(rows) == 513
+    assert math.isclose(float(rows[1][0]), -3.0 * h, rel_tol=1e-12)
+    for x, density in rows[1:]:
+        want = oracles.kde_at([9.8, 3.1], h, float(x))
+        assert math.isclose(float(density), want, rel_tol=1e-9, abs_tol=1e-300), (x, density, want)
+
+    with (out / "model_scores.csv").open(encoding="utf-8", newline="") as fh:
+        scores = list(csv.DictReader(fh))
+    composites = [float(row["composite_score"]) for row in scores]
+    truth = [float(row["official_score"]) for row in scores]
+    comparison = {row["method"]: row for row in summary["method_comparison"]}
+    rho = comparison["weighted_model"]["spearman_rho"]
+    assert rho is not None and math.isclose(rho, oracles.spearman(composites, truth), rel_tol=1e-12)
 
 
 def _cpu_has_fma():
@@ -738,6 +822,25 @@ def test_non_utf8_cache_line_is_a_corrupt_cache_line(runner, cache_copy, tmp_pat
     assert lenient.exit_code == 0, lenient.output
 
 
+def test_lone_surrogate_in_a_cache_line_is_a_corrupt_cache_line(runner, cache_copy, tmp_path):
+    lines = cache_copy.read_bytes().splitlines(keepends=True)
+    lines[5] = lines[5].replace(b'"description": "', b'"description": "\\ud800', 1)
+    cache_copy.write_bytes(b"".join(lines))
+    cve_id = json.loads(lines[5])["cve_id"]
+    args = ["score", "--cache", str(cache_copy)]
+    strict = runner.invoke(main, [*args, "--out", str(tmp_path / "strict")])
+    assert strict.exit_code == 3, strict.output
+    assert f"line 6: {cve_id}: description holds '\\ud800', which UTF-8 cannot encode" in strict.output
+    lenient = runner.invoke(main, [*args, "--lenient", "--out", str(tmp_path / "lenient")])
+    assert lenient.exit_code == 0, lenient.output
+    clean = runner.invoke(main, ["score", "--cache", str(SAMPLE_CACHE), "--out", str(tmp_path / "clean")])
+    assert clean.exit_code == 0, clean.output
+    rows = (tmp_path / "clean" / "scores.csv").read_text(encoding="utf-8").splitlines()
+    assert any(row.startswith(f"{cve_id},") for row in rows)
+    kept = [row for row in rows if not row.startswith(f"{cve_id},")]
+    assert (tmp_path / "lenient" / "scores.csv").read_text(encoding="utf-8").splitlines() == kept
+
+
 def test_non_utf8_cache_header_is_data_error(runner, cache_copy, tmp_path):
     _append_bad_byte(cache_copy, 0)
     for mode in ("--strict", "--lenient"):
@@ -1084,11 +1187,71 @@ def test_option_files_are_checked_before_the_cache_is_read(
     def unread(*args, **kwargs):
         raise AssertionError("the cache was read")
 
-    monkeypatch.setattr(cli_module, "read_cache", unread)
+    monkeypatch.setattr(cli_module, "load_cache", unread)
     args = [arg.format(tmp=tmp_path) for arg in args]
     result = runner.invoke(main, [*args, "--cache", str(cache_copy), "--out", str(tmp_path / "o")])
     assert result.exit_code == code, result.output
     assert message in result.output
+
+
+_OPENED: list | None = None  # what the audit hook below records, while a test wants it
+_HOOKED = False
+
+
+def _record_opens(event, args):
+    if event == "open" and _OPENED is not None:
+        _OPENED.append(args[0])
+
+
+@pytest.fixture()
+def opened():
+    """Every path the process opens while the test runs, however it is
+    opened: the ``open`` audit event is raised by ``open``, ``Path.open``
+    and ``os.open`` alike. An audit hook cannot be removed, so it is added
+    once and records only while this fixture is active."""
+    global _OPENED, _HOOKED
+    if not _HOOKED:
+        sys.addaudithook(_record_opens)
+        _HOOKED = True
+    _OPENED = []
+    try:
+        yield _OPENED
+    finally:
+        _OPENED = None
+
+
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["score"], ["calibrate", "--n-cal", "100"]], ids=lambda c: c[0]
+)
+def test_each_command_opens_its_cache_once(runner, cache_copy, tmp_path, opened, command):
+    result = runner.invoke(main, [*command, "--cache", str(cache_copy), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 0, result.output
+    cache_opens = [p for p in opened if isinstance(p, (str, os.PathLike)) and Path(p) == cache_copy]
+    assert len(cache_opens) == 1
+
+
+def test_provenance_hashes_the_bytes_that_were_analyzed(runner, cache_copy, tmp_path, monkeypatch):
+    """The cache is replaced, as ``ingest`` replaces it, while ``analyze``
+    reads its last record line: ``dataset_sha256`` still names the body
+    that was analyzed, not the file found at the path afterwards."""
+    body = cache_copy.read_bytes().split(b"\n", 1)[1]
+    replacement = write_cache(list(read_cache(cache_copy))[:-1], tmp_path / "new.jsonl")
+    real, lines = cache_module.record_fields, body.count(b"\n")
+    seen = []
+
+    def replacing(data):
+        seen.append(data)
+        if len(seen) == lines:
+            os.replace(replacement, cache_copy)
+        return real(data)
+
+    monkeypatch.setattr(cache_module, "record_fields", replacing)
+    out = tmp_path / "bundle"
+    result = runner.invoke(main, ["analyze", "--cache", str(cache_copy), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len(seen) == lines and not replacement.exists()
+    provenance = json.loads((out / "summary.json").read_text(encoding="utf-8"))["provenance"]
+    assert provenance["dataset_sha256"] == hashlib.sha256(body).hexdigest()
 
 
 def test_analyze_format_choice_is_validated(runner, cache_copy, tmp_path):
@@ -1273,6 +1436,26 @@ def test_ingest_api_item_that_breaks_the_record_contract(runner, tmp_path, monke
     assert result.output.count("error:") == 1
     assert repr(item["cve"]["id"]) in result.output and value in result.output
     assert not out.exists()
+
+
+def test_ingest_description_with_a_lone_surrogate_is_an_api_error(runner, tmp_path, monkeypatch):
+    """UTF-8 cannot encode the text, so the record breaks its contract and
+    no cache is written, where the write used to fail with a traceback."""
+    item = api_item("CVE-2024-0001")
+    item["cve"]["descriptions"] = [{"lang": "en", "value": "bad \ud800 text"}]
+    session = FakeSession([FakeResponse(payload=page_payload([item], 1))])
+    monkeypatch.setattr(
+        cli_module,
+        "fetch_window",
+        lambda w: fetch_window(w, session=session, rate_limiter=RateLimiter(100, 30.0)),
+    )
+    out = tmp_path / "c.jsonl"
+    result = runner.invoke(main, ["ingest", "--window", "2024-01-01..2024-01-15", "--out-cache", str(out)])
+    assert result.exit_code == 4, result.output
+    assert result.output.count("error:") == 1
+    assert "'CVE-2024-0001': CVE-2024-0001: description holds '\\ud800'" in result.output
+    assert "Traceback" not in result.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ingest_api_entry_that_is_not_an_object(runner, tmp_path, monkeypatch):

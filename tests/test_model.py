@@ -68,6 +68,11 @@ def test_lambda_range_and_scale_checks():
         ModelWeights(1 / 3, 1 / 3, 1 / 3, delta=-0.1)
 
 
+def test_a_zero_rounding_grid_is_rejected():
+    with pytest.raises(ValueError, match="delta must be positive"):
+        ModelWeights(1 / 3, 1 / 3, 1 / 3, delta=0.0)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "name", ["alpha", "beta", "gamma", "lambda_c", "lambda_i", "lambda_a", "kappa", "delta"]

@@ -240,6 +240,23 @@ def test_exhausted_retries_raise_network_error():
     assert len(session.calls) == 5
 
 
+def test_http_500_is_retried_like_503():
+    session = FakeSession(
+        [FakeResponse(status_code=500), FakeResponse(payload=page_payload([api_item("CVE-2024-0001")], 1))]
+    )
+    assert [r.cve_id for r in make_client(session).fetch_window(WINDOW)] == ["CVE-2024-0001"]
+    assert len(session.calls) == 2
+
+
+def test_no_backoff_follows_the_last_attempt():
+    session = FakeSession([FakeResponse(status_code=503)] * 3)
+    sleeps = []
+    with pytest.raises(NetworkError):
+        make_client(session, max_attempts=3, sleep=sleeps.append).fetch_window(WINDOW)
+    assert len(session.calls) == 3
+    assert len(sleeps) == 2
+
+
 def test_failure_on_later_page_reports_page_number():
     session = FakeSession(
         [
@@ -286,6 +303,23 @@ def test_rate_limiter_ignores_stale_stamps():
     limiter.acquire()  # only one stamp inside the window
 
 
+def test_rate_limiter_edge_is_exactly_one_period():
+    """A call exactly one period after the oldest stamp waits for nothing,
+    and the stamp it leaves is its own time. The clock moves by 1 s at each
+    reading, as a real clock moves while the limiter works."""
+    now = [0.0]
+
+    def clock():
+        now[0] += 1.0
+        return now[0] - 1.0
+
+    limiter = RateLimiter(1, 30.0, clock=clock, sleep=lambda s: pytest.fail(f"slept {s}"))
+    limiter.acquire()  # stamped at 0
+    for start in (30.0, 60.0, 90.0):
+        now[0] = start
+        limiter.acquire()  # exactly one period after the previous stamp
+
+
 def test_default_rate_limit_depends_on_api_key():
     assert NvdClient()._limiter.max_calls == 5
     assert NvdClient(api_key="k")._limiter.max_calls == 50
@@ -325,6 +359,11 @@ def test_window_key_overrides_client_key():
 def test_window_rejects_inverted_range():
     with pytest.raises(ValueError):
         IngestWindow(start=WINDOW.end, end=WINDOW.start)
+
+
+def test_window_rejects_an_empty_range():
+    with pytest.raises(ValueError, match="window start must precede end"):
+        IngestWindow(start=WINDOW.start, end=WINDOW.start)
 
 
 def test_window_rejects_more_than_120_days():

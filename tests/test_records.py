@@ -7,7 +7,7 @@ from datetime import datetime
 
 import pytest
 
-from cverisk.cache import read_header, write_cache
+from cverisk.cache import CacheFormatError, read_cache, read_header, write_cache
 from cverisk.nvd import NvdError, extract_record
 from cverisk.records import CveRecord
 
@@ -78,3 +78,27 @@ def test_an_api_score_beyond_float_range_is_an_api_error():
 def test_record_checks_every_field_by_exact_type(kwargs, message):
     with pytest.raises(ValueError, match=message):
         make_record(**kwargs)
+
+
+def test_a_string_that_utf8_cannot_encode_breaks_the_record_contract(tmp_path):
+    """A surrogate code point (a lone ``\\ud800`` escape decodes to one)
+    fails the record check wherever a record comes from: the library, an
+    API item, or a cache line, which strict mode rejects by line number
+    and lenient mode skips."""
+    for kwargs, field in (({"description": "bad \ud800 text"}, "description"),
+                          ({"vector": "CVSS:3.1/AV:N\udfff"}, "vector string"),
+                          ({"affected_os": "os \ud83d\ude00"}, "affected os")):  # a pair, unjoined
+        with pytest.raises(ValueError, match=rf"CVE-2024-12345: {field} holds '\\ud[8f]"):
+            make_record(**kwargs)
+    item = {"id": "CVE-2024-12345", "published": STAMP_UTC,
+            "descriptions": [{"lang": "en", "value": "bad \ud800 text"}]}
+    with pytest.raises(NvdError, match=r"description holds '\\ud800', which UTF-8 cannot encode"):
+        extract_record(item)
+
+    good = make_record(cve_id="CVE-2024-10000", description="café \U0001f600")
+    path = write_cache([good, make_record(cve_id="CVE-2024-10001")], tmp_path / "c.jsonl")
+    head, first, second = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(head + first + second.replace(b'"synthetic', b'"\\ud800synthetic'))
+    with pytest.raises(CacheFormatError, match=r"line 3: CVE-2024-10001: description holds"):
+        read_cache(path)
+    assert read_cache(path, lenient=True) == [good]
