@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import encode_factors
-from .model import GRID_TOLERANCE, ModelWeights, ScoredBatch
+from .model import ModelWeights, ScoredBatch, cia_impact, composite, exploitability, grid_steps
 
 DEFAULT_KAPPA_RANGE = (0.5, 2.0, 0.05)
 DEFAULT_LAMBDA_GRID = (0.25, 0.5, 0.75, 1.0)
@@ -69,8 +69,7 @@ def _mean_squared_errors(
     """
     total = np.zeros(len(grid))
     for start in range(0, len(products), _KAPPA_BLOCK):
-        raw = products[start : start + _KAPPA_BLOCK, None] * grid[None, :]
-        scores = np.minimum(10.0, np.ceil(raw / delta - GRID_TOLERANCE) * delta)
+        scores = composite(products[start : start + _KAPPA_BLOCK, None], grid[None, :], delta)
         errors = (scores - officials[start : start + _KAPPA_BLOCK, None]) ** 2
         total = np.add.reduce(np.vstack([total, errors]), axis=0)
     return total / len(products)
@@ -153,42 +152,10 @@ def _group_sample(cal: ScoredBatch) -> _Groups:
     )
 
 
-def _scaled_base(groups: _Groups, simplex: np.ndarray) -> np.ndarray:
-    """``10 * base_risk`` for every group x simplex point, (G, S).
-
-    Takes the float steps of ``model.base_risk`` in the same order,
-    element-wise; a matmul may sum in another order and move the last bit.
-    Times a triple's ``_impact`` it gives ``10 * base_risk * impact``, whose
-    products evaluate left to right.
-    """
-    exploit = groups.exploit
-    base = (
-        simplex[:, 0] * exploit[:, :1]
-        + simplex[:, 1] * exploit[:, 1:2]
-        + simplex[:, 2] * exploit[:, 2:]
-    )
-    return 10.0 * base
-
-
-def _impact(groups: _Groups, lambdas: tuple[float, float, float]) -> np.ndarray:
-    """``model.impact_score`` of every group at one lambda triple, (G,)."""
-    eta = groups.eta
-    lam_c, lam_i, lam_a = lambdas
-    return 1.0 - (1.0 - lam_c * eta[:, 0]) * (1.0 - lam_i * eta[:, 1]) * (1.0 - lam_a * eta[:, 2])
-
-
 def _units(products: np.ndarray, kappa: float | np.ndarray) -> np.ndarray:
-    """Composite scores in 0.1 units at ``kappa``, one value or one per column.
-
-    The float steps are ``model.composite_score``'s at ``delta = 0.1``, so
-    each count of 0.1 steps is the scalar path's; the count is then capped
-    at 100 (10 points) exactly.
-    """
-    units = products * kappa
-    units /= 0.1
-    units -= GRID_TOLERANCE
-    np.ceil(units, out=units)
-    return np.minimum(units, 100.0, out=units)
+    """``model.composite`` at ``delta = 0.1`` in 0.1 steps, at ``kappa`` (one
+    value or one per column), capped at 100 steps (10 points) exactly."""
+    return np.minimum(grid_steps(products * kappa, 0.1), 100.0)
 
 
 def _sse(groups: _Groups, units: np.ndarray) -> np.ndarray:
@@ -294,8 +261,10 @@ def calibrate_weights(
     )
     kappas = _kappa_grid(*kappa_range)
     triples = list(itertools.product(sorted(lambda_grid), repeat=3))
-    base = _scaled_base(groups, simplex)
-    impacts = np.array([_impact(groups, lambdas) for lambdas in triples])  # (T, G)
+    # 10 * base_risk (G, S) and impact (T, G) by ``model.py``'s float steps,
+    # element-wise: a matmul may sum in another order and move the last bit.
+    base = 10.0 * exploitability(*simplex.T, *groups.exploit.T[:, :, None])
+    impacts = cia_impact(*np.array(triples).T[:, :, None], *groups.eta.T)
     # Sums for the bound only, so BLAS may pick any order: (T, S) each. One
     # mat-vec per triple, as one matrix product would start BLAS threads.
     base_sq = base**2

@@ -156,29 +156,42 @@ class ScoredBatch(Sequence):
         return np.array(officials, dtype=float)
 
 
-def round_up(x: float, delta: float) -> float:
-    """Smallest multiple of ``delta`` at or above ``x``, absorbing float dust."""
-    return math.ceil(x / delta - GRID_TOLERANCE) * delta
+def exploitability(alpha, beta, gamma, phi, psi, omega):
+    """Weighted sum of the AV, AC and PR encodings, of floats or of arrays."""
+    return alpha * phi + beta * psi + gamma * omega
+
+
+def cia_impact(lambda_c, lambda_i, lambda_a, eta_c, eta_i, eta_a):
+    """Complement-product aggregation of the weighted C/I/A impact values."""
+    return 1.0 - (1.0 - lambda_c * eta_c) * (1.0 - lambda_i * eta_i) * (1.0 - lambda_a * eta_a)
+
+
+def grid_steps(x, delta):
+    """``delta`` steps to the least multiple of ``delta`` at or above ``x``,
+    absorbing float dust; ``+ 0.0`` turns ``np.ceil``'s -0.0 into 0.0."""
+    return np.ceil(x / delta - GRID_TOLERANCE) + 0.0
+
+
+def composite(products, kappa, delta):
+    """Composite of ``products`` (``10 * base_risk * impact``): scaled by
+    ``kappa``, rounded up to the ``delta`` grid and capped at exactly 10."""
+    return np.minimum(10.0, grid_steps(products * kappa, delta) * delta)
 
 
 def base_risk(v: CvssVector, maps: AttributeMaps, w: ModelWeights) -> float:
     """Weighted sum of the three exploitability encodings."""
-    return w.alpha * maps.phi[v.av] + w.beta * maps.psi[v.ac] + w.gamma * maps.omega[v.pr]
+    return exploitability(w.alpha, w.beta, w.gamma, maps.phi[v.av], maps.psi[v.ac], maps.omega[v.pr])
 
 
 def impact_score(v: CvssVector, w: ModelWeights) -> float:
-    """Complement-product aggregation of the weighted C/I/A impact values."""
-    return 1.0 - (
-        (1.0 - w.lambda_c * ETA[v.c])
-        * (1.0 - w.lambda_i * ETA[v.i])
-        * (1.0 - w.lambda_a * ETA[v.a])
-    )
+    """``cia_impact`` of one vector's C/I/A levels under ``w``."""
+    return cia_impact(w.lambda_c, w.lambda_i, w.lambda_a, ETA[v.c], ETA[v.i], ETA[v.a])
 
 
 def composite_score(rb: float, impact: float, w: ModelWeights) -> float:
     """Scale the exploitability/impact product to 0-10, round up to the
     ``delta`` grid, and cap at exactly 10."""
-    return min(10.0, round_up(10.0 * rb * impact * w.kappa, w.delta))
+    return float(composite(10.0 * rb * impact, w.kappa, w.delta))
 
 
 def classify(sv: float, t: SeverityThresholds = SeverityThresholds()) -> Severity:

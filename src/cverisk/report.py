@@ -36,7 +36,7 @@ from .analytics import (
 )
 from .calibration import DEFAULT_KAPPA_RANGE, fit_kappa, uniform_weights
 from .config import config_to_dict, write_atomic
-from .model import ModelConfig, ScoredBatch, base_risk, composite_score, impact_score, score_records
+from .model import ModelConfig, ScoredBatch, base_risk, composite, impact_score, score_records
 from .records import CveRecord, RecordColumns
 
 SCORE_BINS = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
@@ -105,9 +105,8 @@ def _json_safe(value):
 
 
 def _cell(value):
-    """CSV cell normalization: blank for NaN/None, plain Python scalars."""
-    if value is None:
-        return ""
+    """CSV cell normalization: blank for NaN, plain Python scalars
+    (``csv.writer`` writes None as a blank cell itself)."""
     if isinstance(value, (float, np.floating)):
         v = float(value)
         return "" if math.isnan(v) else v
@@ -191,12 +190,11 @@ def _method_comparison(scored: ScoredBatch, config: ModelConfig) -> list[tuple]:
     (table row)."""
     officials = scored.officials
     delta = config.weights.delta
-    uniform = uniform_weights(delta=delta)
+    uniform = uniform_weights()
     preset = [(base_risk(v, config.maps, uniform), impact_score(v, uniform)) for v, *_ in scored.table]
     products = np.array([10.0 * rb * impact for rb, impact in preset])
     kappa = fit_kappa(products[scored.rows], officials, *DEFAULT_KAPPA_RANGE, delta)
-    refit = uniform_weights(kappa, delta=delta)
-    preset_scores = np.array([composite_score(rb, impact, refit) for rb, impact in preset])
+    preset_scores = composite(products, kappa, delta)
     return [
         (method, mae(scores, officials), _safe_spearman(scores, officials), method_kappa)
         for method, scores, method_kappa in (

@@ -15,18 +15,16 @@ from cverisk.calibration import (
     EmptyCalibrationSetError,
     OffGridError,
     _group_sample,
-    _impact,
     _kappa_grid,
     _lower_bound,
     _mean_squared_errors,
-    _scaled_base,
     _units,
     calibrate_kappa,
     calibrate_weights,
     fit_kappa,
     uniform_weights,
 )
-from cverisk.model import GRID_TOLERANCE, ModelConfig, ModelWeights
+from cverisk.model import GRID_TOLERANCE, ModelConfig, ModelWeights, cia_impact, exploitability
 
 import oracles
 from conftest import as_batch, make_record, score_one
@@ -260,8 +258,8 @@ def test_search_score_units_equal_scalar_composites(sample_scored):
     assert w.delta == 0.1
     groups = _group_sample(cal)
     simplex = np.array([[w.alpha, w.beta, w.gamma]])
-    impact = _impact(groups, (w.lambda_c, w.lambda_i, w.lambda_a))
-    products = _scaled_base(groups, simplex) * impact[:, None]
+    impact = cia_impact(w.lambda_c, w.lambda_i, w.lambda_a, *groups.eta.T)
+    products = 10.0 * exploitability(*simplex.T, *groups.exploit.T[:, :, None]) * impact[:, None]
     units = _units(products, w.kappa)
     cfg = ModelConfig(weights=w)
     for sr, group in zip(cal, groups.member):
@@ -383,10 +381,11 @@ def test_lower_bound_never_exceeds_the_exact_error(all_scored, sample, lambda_gr
     grid_step = 0.1
     _, sse = dense_search(cal, grid_step, lambda_grid, kappa_range)
     groups = _group_sample(cal)
-    base, kappas = _scaled_base(groups, _simplex(grid_step)), _kappa_grid(*kappa_range)
+    base = 10.0 * exploitability(*_simplex(grid_step).T, *groups.exploit.T[:, :, None])
+    kappas = _kappa_grid(*kappa_range)
     ruled_out = 0
     for t, lambdas in enumerate(itertools.product(lambda_grid, repeat=3)):
-        impact = _impact(groups, lambdas)
+        impact = cia_impact(*lambdas, *groups.eta.T)
         products = base * impact[:, None]
         a, b = groups.count @ products**2, groups.shifted @ products
         bound = _lower_bound(groups, base, impact, a, b, kappas)

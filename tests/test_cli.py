@@ -1366,6 +1366,107 @@ def test_report_rejects_a_summary_of_the_wrong_shape(runner, cache_copy, tmp_pat
     assert "summary.json is malformed" in result.output
 
 
+def _analyzed_bundle(runner, cache, out_dir):
+    assert runner.invoke(main, ["analyze", "--cache", str(cache), "--out", str(out_dir)]).exit_code == 0
+    assert runner.invoke(main, ["report", "--bundle", str(out_dir)]).exit_code == 0
+    return out_dir
+
+
+def _non_utf8(data: bytes) -> bytes:
+    return data + b"\xff\n"
+
+
+def _count_not_an_integer(data: bytes) -> bytes:
+    header, first, rest = data.split(b"\n", 2)
+    label, _, share = first.rsplit(b",", 2)
+    return b"\n".join([header, label + b",many," + share, rest])
+
+
+def _rename_the_id_column(data: bytes) -> bytes:
+    return data.replace(b"cve_id,", b"cve,", 1)
+
+
+@pytest.mark.parametrize(
+    ("table", "edit", "message"),
+    [
+        ("ecdf", _non_utf8, "ecdf.csv is not a UTF-8 CSV file"),
+        ("severity_histogram", _count_not_an_integer,
+         "severity_histogram.csv has a count that is not an integer"),
+        ("model_scores", _rename_the_id_column, "model_scores.csv has no 'cve_id' column"),
+        ("joint_risk", _rename_the_id_column, "joint_risk.csv has no 'cve_id' column"),
+    ],
+    ids=["not-utf8", "count-not-int", "scores-no-id", "joint-no-id"],
+)
+def test_report_rejects_a_table_it_cannot_check(runner, cache_copy, tmp_path, table, edit, message):
+    out_dir = _analyzed_bundle(runner, cache_copy, tmp_path / "bundle")
+    path = out_dir / f"{table}.csv"
+    path.write_bytes(edit(path.read_bytes()))
+    result = runner.invoke(main, ["report", "--bundle", str(out_dir)])
+    assert result.exit_code == 3, result.output
+    assert message in result.output
+
+
+def test_report_on_an_unreadable_table_is_io_error(runner, cache_copy, tmp_path, monkeypatch):
+    out_dir = _analyzed_bundle(runner, cache_copy, tmp_path / "bundle")
+    real_read_bytes = Path.read_bytes
+
+    def eio(self):
+        if self == out_dir / "ecdf.csv":
+            raise OSError(errno.EIO, "Input/output error")
+        return real_read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", eio)
+    result = runner.invoke(main, ["report", "--bundle", str(out_dir)])
+    assert result.exit_code == 5, result.output
+    assert f"error: cannot read {out_dir}: " in result.output
+    assert "Input/output error" in result.output
+
+
+NO_IMPACT = "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:N/I:N/A:N"
+
+
+@pytest.mark.parametrize(("command", "table"), [("score", "scores"), ("analyze", "model_scores")])
+def test_a_no_impact_vector_has_a_composite_of_zero_not_minus_zero(runner, tmp_path, command, table):
+    """Rounding a product of 0 up to the grid is ``ceil(-1e-9)``, which numpy
+    gives as -0.0; the cell must read 0.0, as the scalar rounding gives."""
+    cache = tmp_path / "cache.jsonl"
+    write_cache(
+        [make_record(cve_id="CVE-2024-00001", vector=NO_IMPACT, official=0.0),
+         make_record(cve_id="CVE-2024-00002")],
+        cache,
+    )
+    out_dir = tmp_path / "out"
+    result = runner.invoke(main, [command, "--cache", str(cache), "--out", str(out_dir)])
+    assert result.exit_code == 0, result.output
+    with open(out_dir / f"{table}.csv", encoding="utf-8", newline="") as f:
+        rows = {row["cve_id"]: row for row in csv.DictReader(f)}
+    assert rows["CVE-2024-00001"]["impact_score"] == "0.0"
+    assert rows["CVE-2024-00001"]["composite_score"] == "0.0"
+    assert rows["CVE-2024-00001"]["severity"] == "Low"
+
+
+@pytest.mark.parametrize(
+    ("command", "records", "message"),
+    [
+        ("score", [make_record(vector=None), make_record(cve_id="CVE-2024-00002", vector="x")],
+         "no record in the cache could be scored"),
+        ("analyze --exclude-ids", [make_record()], "no records to analyze after exclusions"),
+        ("analyze", [make_record(official=None), make_record(cve_id="CVE-2024-00002", vector=None)],
+         "no record has both a parseable vector and an official score"),
+    ],
+    ids=["score-nothing-scoreable", "analyze-all-excluded", "analyze-nothing-usable"],
+)
+def test_a_cache_with_nothing_to_use_is_data_error(runner, tmp_path, command, records, message):
+    cache = write_cache(records, tmp_path / "cache.jsonl")
+    ids = tmp_path / "ids.txt"
+    ids.write_text("".join(f"{r.cve_id}\n" for r in records), encoding="utf-8")
+    args = [*command.split(), *([str(ids)] if "--exclude-ids" in command else [])]
+    result = runner.invoke(main, [*args, "--cache", str(cache), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3, result.output
+    assert f"error: {message}" in result.output
+    assert not (tmp_path / "o").exists()
+
+
 # --- ingest (network layer monkeypatched) -----------------------------------
 
 

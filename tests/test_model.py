@@ -19,8 +19,8 @@ from cverisk.model import (
     base_risk,
     classify,
     composite_score,
+    grid_steps,
     impact_score,
-    round_up,
     score_records,
 )
 from cverisk.vector import (
@@ -168,17 +168,17 @@ def test_impact_stays_below_one(lc, li, la):
 
 
 def test_round_up_basics():
-    assert round_up(9.14784, 0.1) == pytest.approx(9.2, abs=1e-12)
-    assert round_up(4.0, 0.1) == pytest.approx(4.0, abs=1e-12)
-    assert round_up(0.01, 0.1) == pytest.approx(0.1, abs=1e-12)
-    assert round_up(0.0, 0.1) == 0.0
+    assert grid_steps(9.14784, 0.1) * 0.1 == pytest.approx(9.2, abs=1e-12)
+    assert grid_steps(4.0, 0.1) * 0.1 == pytest.approx(4.0, abs=1e-12)
+    assert grid_steps(0.01, 0.1) * 0.1 == pytest.approx(0.1, abs=1e-12)
+    assert grid_steps(0.0, 0.1) * 0.1 == 0.0
 
 
 def test_round_up_absorbs_float_dust():
     # 0.1 * 3 = 0.30000000000000004 must not climb to 0.4
-    assert round_up(0.1 + 0.1 + 0.1, 0.1) == pytest.approx(0.3, abs=1e-12)
-    assert round_up(7.0 + 1e-12, 0.1) == pytest.approx(7.0, abs=1e-12)
-    assert round_up(7.000001, 0.1) == pytest.approx(7.1, abs=1e-12)
+    assert grid_steps(0.1 + 0.1 + 0.1, 0.1) * 0.1 == pytest.approx(0.3, abs=1e-12)
+    assert grid_steps(7.0 + 1e-12, 0.1) * 0.1 == pytest.approx(7.0, abs=1e-12)
+    assert grid_steps(7.000001, 0.1) * 0.1 == pytest.approx(7.1, abs=1e-12)
 
 
 def test_composite_zero_exploitability():
