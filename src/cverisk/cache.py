@@ -90,6 +90,9 @@ def _header(first: bytes) -> dict:
         raise CacheFormatError(1, "header is not a JSON object")
     if header.get("schema") != SCHEMA_VERSION:
         raise SchemaVersionMismatchError(header.get("schema"))
+    stamp = header.get("retrieved_at")  # copied into outputs: null, or text that UTF-8 can encode
+    if stamp is not None and (type(stamp) is not str or any("\ud800" <= c <= "\udfff" for c in stamp)):
+        raise CacheFormatError(1, "header retrieved_at is neither null nor text that UTF-8 can encode")
     return header
 
 

@@ -28,7 +28,6 @@ from .nvd import IngestWindow, NvdError, fetch_window
 from .records import CVE_ID_PATTERN
 from .report import (
     SCORE_HEADER,
-    BundleError,
     EmptyDatasetError,
     UnscoreableAllError,
     build_bundle,
@@ -51,8 +50,8 @@ def _fail(code: int, message: str):
 
 @contextlib.contextmanager
 def _reading(what: str, path, bad):
-    """Exit on a failure to read input file ``path``: 5 if it is missing or
-    unreadable, 3 if it is not UTF-8 or its content raises ``bad``."""
+    """Exit on a failure to read input ``path``, a file or a bundle: 5 if it
+    is missing or unreadable, 3 if it is not UTF-8 or its content raises ``bad``."""
     try:
         yield
     except FileNotFoundError:
@@ -257,23 +256,13 @@ def report(bundle_dir: str):
     """Check a written bundle and re-render its executive summary."""
     out = Path(bundle_dir)
     summary_path = out / "summary.json"
-    try:
+    # Not JSON, too deep, of the wrong shape, too large to render, or a table at odds with it.
+    bad = (ValueError, RecursionError, AttributeError, KeyError, TypeError, OverflowError)
+    with _reading("summary", summary_path, bad):
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        _fail(EXIT_IO, f"no summary.json in {bundle_dir}")
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot read {summary_path}: {exc}")
-    except (ValueError, RecursionError) as exc:
-        _fail(EXIT_DATA, f"summary.json is not valid JSON: {exc}")
-    try:
-        check_bundle(out, summary)
         text = render_executive_summary(summary)
-    except BundleError as exc:
-        _fail(EXIT_DATA, str(exc))
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot read {bundle_dir}: {exc}")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        _fail(EXIT_DATA, f"summary.json is malformed: {exc!r}")
+    with _reading("bundle", bundle_dir, bad):
+        check_bundle(out, summary)
     with _writing(bundle_dir):
         write_atomic(out / "executive_summary.txt", [text])
     click.echo(text, nl=False)

@@ -434,6 +434,12 @@ def test_group_statistics_empty_input():
 # --- high-risk share and cell means -----------------------------------------
 
 
+def test_high_risk_share_of_an_empty_batch():
+    empty, _ = score_records([])
+    with pytest.raises(EmptyInputError):
+        high_risk_share(empty, "AV")
+
+
 def test_high_risk_share_zero_when_all_below():
     batch = scored_batch([("AV:N/AC:L/PR:N/UI:N/S:U/C:L/I:N/A:N", 3.1)] * 3)
     shares = high_risk_share(batch, "AV")

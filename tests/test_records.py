@@ -9,7 +9,7 @@ import pytest
 
 from cverisk.cache import CacheFormatError, read_cache, read_header, write_cache
 from cverisk.nvd import NvdError, extract_record
-from cverisk.records import CveRecord
+from cverisk.records import CveRecord, RecordColumns
 
 from conftest import make_record
 
@@ -102,3 +102,11 @@ def test_a_string_that_utf8_cannot_encode_breaks_the_record_contract(tmp_path):
     with pytest.raises(CacheFormatError, match=r"line 3: CVE-2024-10001: description holds"):
         read_cache(path)
     assert read_cache(path, lenient=True) == [good]
+
+
+def test_record_columns_equal_a_list_of_the_same_records_and_nothing_else():
+    records = [make_record(cve_id=f"CVE-2024-{k:04d}") for k in range(1, 4)]
+    columns = RecordColumns.of(records)
+    assert columns == records and columns == RecordColumns.of(list(records))
+    assert columns != records[:2]
+    assert columns != tuple(records)  # a sequence, but not a list
