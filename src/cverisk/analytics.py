@@ -18,7 +18,7 @@ from .vector import METRIC_NAMES, metric_labels, metric_level
 
 
 class TooFewRowsError(ValueError):
-    """The statistic needs more rows than were supplied."""
+    """The statistic needs more rows (records, scores or pairs) than were supplied."""
 
 
 class UnknownFactorError(ValueError):
@@ -26,19 +26,7 @@ class UnknownFactorError(ValueError):
 
 
 class DimensionMismatchError(ValueError):
-    """Vector/matrix shapes do not line up."""
-
-
-class EmptyInputError(ValueError):
-    """The statistic is undefined on empty input."""
-
-
-class TooFewPointsError(ValueError):
-    """Density estimation needs at least two points."""
-
-
-class LengthMismatchError(ValueError):
-    """Paired inputs must have equal length."""
+    """Vector/matrix shapes do not line up, or paired inputs differ in length."""
 
 
 # --------------------------------------------------------------------------
@@ -251,7 +239,7 @@ class Ecdf:
     def __post_init__(self) -> None:
         scores = np.sort(np.asarray(self.sorted_scores, dtype=float))
         if scores.size == 0:
-            raise EmptyInputError("ecdf requires at least one score")
+            raise TooFewRowsError("ecdf requires at least one score")
         # NaN sorts last and, as in min/max, exempts the scores from the range check
         if not np.isnan(scores[-1]) and (scores[0] < 0.0 or scores[-1] > 10.0):
             raise ValueError("scores must lie in [0, 10]")
@@ -291,7 +279,7 @@ def group_statistics(scored: ScoredBatch, group_by: str) -> list[GroupStats]:
     a singleton) come back as NaN.
     """
     if not scored:
-        raise EmptyInputError("no records to group")
+        raise TooFewRowsError("no records to group")
     domain, index = category_index(scored, group_by)
     values = scored.officials
     out = []
@@ -329,7 +317,7 @@ def high_risk_share(
 ) -> list[HighRiskShare]:
     """Per-category share of records whose official score is >= threshold."""
     if not scored:
-        raise EmptyInputError("no records to group")
+        raise TooFewRowsError("no records to group")
     domain, index = category_index(scored, group_by)
     is_high = scored.officials >= threshold
     totals = np.bincount(index, minlength=len(domain)).tolist()
@@ -386,7 +374,7 @@ def kernel_density(scores: Iterable[float], grid: np.ndarray | None = None) -> D
     """
     arr = _floats(scores)
     if arr.size < 2:
-        raise TooFewPointsError(f"need at least 2 scores, got {arr.size}")
+        raise TooFewRowsError(f"need at least 2 scores, got {arr.size}")
     h = silverman_bandwidth(arr)
     if grid is None:
         grid = np.linspace(0.0 - 3.0 * h, 10.0 + 3.0 * h, 512)
@@ -409,9 +397,9 @@ def mae(pred: Iterable[float], truth: Iterable[float]) -> float:
     p = _floats(pred)
     t = _floats(truth)
     if p.shape != t.shape:
-        raise LengthMismatchError(f"length mismatch: {p.size} vs {t.size}")
+        raise DimensionMismatchError(f"length mismatch: {p.size} vs {t.size}")
     if p.size == 0:
-        raise EmptyInputError("mae of empty input")
+        raise TooFewRowsError("mae of empty input")
     return float(np.abs(p - t).mean())
 
 
@@ -446,7 +434,7 @@ def spearman_rho(pred: Iterable[float], truth: Iterable[float]) -> float:
     p = _floats(pred)
     t = _floats(truth)
     if p.shape != t.shape:
-        raise LengthMismatchError(f"length mismatch: {p.size} vs {t.size}")
+        raise DimensionMismatchError(f"length mismatch: {p.size} vs {t.size}")
     if p.size < 2:
         raise TooFewRowsError(f"need at least 2 pairs, got {p.size}")
     return _pearson(midranks(p), midranks(t))

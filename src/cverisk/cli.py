@@ -250,6 +250,11 @@ def analyze(cache_path, config_path, baseline, out_dir, seed, exclude_path, fmt,
     click.echo(f"wrote {len(written)} files to {out_dir}")
 
 
+def _no_constant(name: str):
+    """``json.loads``' hook for NaN and +/-Infinity, which JSON does not have."""
+    raise ValueError(f"{name} is not valid JSON")
+
+
 @main.command()
 @click.option("--bundle", "bundle_dir", required=True, type=click.Path(file_okay=False))
 def report(bundle_dir: str):
@@ -259,7 +264,7 @@ def report(bundle_dir: str):
     # Not JSON, too deep, of the wrong shape, too large to render, or a table at odds with it.
     bad = (ValueError, RecursionError, AttributeError, KeyError, TypeError, OverflowError)
     with _reading("summary", summary_path, bad):
-        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+        summary = json.loads(summary_path.read_text(encoding="utf-8"), parse_constant=_no_constant)
         text = render_executive_summary(summary)
     with _reading("bundle", bundle_dir, bad):
         check_bundle(out, summary)

@@ -23,21 +23,14 @@ import os
 from collections.abc import Iterable
 from pathlib import Path
 
-from .encoding import AttributeMaps
+from .encoding import MAP_ENUMS, AttributeMaps
 from .model import ModelConfig, ModelWeights, SeverityThresholds
-from .vector import AttackComplexity, AttackVector, ImpactLevel, PrivilegesRequired
 
 
 class ConfigError(ValueError):
     """The configuration file is malformed or violates a model invariant."""
 
 
-_MAP_FIELDS = {
-    "phi": AttackVector,
-    "psi": AttackComplexity,
-    "omega": PrivilegesRequired,
-    "eta": ImpactLevel,
-}
 _WEIGHT_KEYS = ("alpha", "beta", "gamma", "lambda_c", "lambda_i", "lambda_a", "kappa", "delta")
 _THRESHOLD_KEYS = ("tau1", "tau2", "tau3")
 
@@ -49,7 +42,7 @@ def config_to_dict(config: ModelConfig) -> dict[str, float]:
         out[key] = getattr(config.weights, key)
     for key in _THRESHOLD_KEYS:
         out[key] = getattr(config.thresholds, key)
-    for map_name, enum in _MAP_FIELDS.items():
+    for map_name, enum in MAP_ENUMS.items():
         mapping = getattr(config.maps, map_name)
         for member in enum:
             out[f"{map_name}.{member.value}"] = mapping[member]
@@ -66,7 +59,7 @@ def config_from_dict(values: dict[str, float]) -> ModelConfig:
         maps = AttributeMaps(
             **{
                 map_name: {member: merged[f"{map_name}.{member.value}"] for member in enum}
-                for map_name, enum in _MAP_FIELDS.items()
+                for map_name, enum in MAP_ENUMS.items()
             }
         )
         weights = ModelWeights(**{key: merged[key] for key in _WEIGHT_KEYS})

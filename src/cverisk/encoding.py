@@ -54,6 +54,13 @@ SCOPE_ENCODING: Mapping[Scope, float] = {
 }
 
 FACTOR_NAMES = ("AV", "AC", "PR", "UI", "S", "C", "I", "A")
+#: Each ``AttributeMaps`` field and the enum whose every member it maps.
+MAP_ENUMS: Mapping[str, type] = {
+    "phi": AttackVector,
+    "psi": AttackComplexity,
+    "omega": PrivilegesRequired,
+    "eta": ImpactLevel,
+}
 
 
 def _check_map(name: str, mapping: Mapping, enum: type) -> None:
@@ -79,11 +86,10 @@ class AttributeMaps:
     eta: Mapping[ImpactLevel, float] = field(default_factory=lambda: dict(ETA))
 
     def __post_init__(self) -> None:
-        _check_map("phi", self.phi, AttackVector)
-        _check_map("psi", self.psi, AttackComplexity)
-        _check_map("omega", self.omega, PrivilegesRequired)
-        if dict(self.eta) != dict(ETA):
-            raise ValueError("eta must map None/Low/High to 0/0.22/0.56")
+        for name, enum in MAP_ENUMS.items():
+            if name == "eta" and dict(self.eta) != dict(ETA):
+                raise ValueError("eta must map None/Low/High to 0/0.22/0.56")
+            _check_map(name, getattr(self, name), enum)
 
 
 DEFAULT_MAPS = AttributeMaps()

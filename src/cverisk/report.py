@@ -88,12 +88,14 @@ class ReportBundle:
     skip_report: list[tuple[str, str]]
 
 
-def _json_safe(value):
-    """Recursively convert numpy scalars and replace NaN/inf with None."""
+def _plain(value):
+    """``value`` with numpy scalars made Python scalars and NaN/inf made
+    None, recursively; the one rule for every summary value and table cell
+    (``csv.writer`` writes None as a blank cell)."""
     if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
+        return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
+        return [_plain(v) for v in value]
     if isinstance(value, (float, np.floating)):
         v = float(value)
         return None if math.isnan(v) or math.isinf(v) else v
@@ -104,28 +106,14 @@ def _json_safe(value):
     return value
 
 
-def _cell(value):
-    """CSV cell normalization: blank for NaN, plain Python scalars
-    (``csv.writer`` writes None as a blank cell itself)."""
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return "" if math.isnan(v) else v
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
-
-
 def _matrix_table(row_header: str, row_domain, col_domain, values) -> Table:
-    header = (row_header, *col_domain)
-    rows = [
-        (label, *(_cell(v) for v in row)) for label, row in zip(row_domain, np.asarray(values))
-    ]
-    return header, rows
+    rows = zip(row_domain, np.asarray(values).tolist())
+    return (row_header, *col_domain), [(label, *_plain(row)) for label, row in rows]
 
 
 def _field_rows(items) -> list[tuple]:
     """One CSV row per dataclass instance: its fields in order."""
-    return [tuple(_cell(v) for v in astuple(item)) for item in items]
+    return [tuple(_plain(astuple(item))) for item in items]
 
 
 def _stats_table(label: str, stats) -> Table:
@@ -345,7 +333,7 @@ def build_bundle(
     bin_rows = []
     for b, label in enumerate(BIN_LABELS):
         mask = bin_index == b
-        means = eta_rows[mask].mean(axis=0).tolist() if mask.any() else ["", "", ""]
+        means = eta_rows[mask].mean(axis=0).tolist() if mask.any() else [None] * 3
         bin_rows.append((label, int(mask.sum()), *means))
     tables["cia_by_score_bin"] = (
         ("score_bin", "count", "mean_confidentiality", "mean_integrity", "mean_availability"),
@@ -430,14 +418,10 @@ def build_bundle(
 
     # ---- model scores and agreement -----------------------------------------
     tables["model_scores"] = (SCORE_HEADER, score_rows(scored))
-    comparison = _method_comparison(scored, config)
-    tables["method_comparison"] = (("method", "mae", "spearman_rho", "kappa"), [
-        (method, m, _cell(rho), kappa) for method, m, rho, kappa in comparison
-    ])
-    summary["method_comparison"] = [
-        {"method": method, "mae": m, "spearman_rho": rho, "kappa": kappa}
-        for method, m, rho, kappa in comparison
-    ]
+    comparison = [tuple(_plain(row)) for row in _method_comparison(scored, config)]
+    header = ("method", "mae", "spearman_rho", "kappa")
+    tables["method_comparison"] = header, comparison
+    summary["method_comparison"] = [dict(zip(header, row)) for row in comparison]
 
     # ---- bookkeeping --------------------------------------------------------
     summary["dataset"] = {
@@ -465,7 +449,7 @@ def build_bundle(
         **(cache_info or {}),
     }
     summary["tables"] = sorted(tables)
-    return ReportBundle(summary=_json_safe(summary), tables=tables, skip_report=skip_rows)
+    return ReportBundle(summary=_plain(summary), tables=tables, skip_report=skip_rows)
 
 
 # --------------------------------------------------------------------------
@@ -556,13 +540,15 @@ def check_bundle(out_dir, summary: dict) -> None:
     as wide as its header, with one row per analyzed (or skipped) record
     where the table has one and one per histogram bin of the summary. The
     per-record tables must list their ids in strictly increasing order, and
-    the histogram counts must sum to the records analyzed."""
+    the histogram counts must sum to the records analyzed. The summary's
+    dataset counts must be integers >= 0 that add up (``_check_counts``)."""
     out = Path(out_dir)
     names = [*summary["tables"], "skip_report"]
     missing = [name for name in names if not (out / f"{name}.csv").exists()]
     if missing:
         raise BundleError(f"bundle is missing tables: {', '.join(missing)}")
     dataset = summary["dataset"]
+    _check_counts(dataset)
     row_counts = {
         "model_scores": dataset["records_analyzed"],
         "joint_risk": dataset["records_analyzed"],
@@ -606,6 +592,25 @@ def check_bundle(out_dir, summary: dict) -> None:
                 )
 
 
+def _check_counts(dataset: dict) -> None:
+    """Each count is an int >= 0; every record is excluded, analyzed or
+    skipped, every skip has a reason, and a scored record is analyzed unless
+    it has no official score."""
+    reasons = dataset["skip_reasons"]
+    for name, count in [*dataset.items(), *reasons.items()]:
+        if name != "skip_reasons" and (type(count) is not int or count < 0):
+            raise BundleError(f"summary count {name!r} is {count!r}, not an integer >= 0")
+    analyzed = dataset["records_analyzed"]
+    in_cache = dataset["records_excluded"] + analyzed + dataset["records_skipped"]
+    for name, parts, total in (
+        ("records_in_cache", "excluded + analyzed + skipped", in_cache),
+        ("records_skipped", "the sum of skip_reasons", sum(reasons.values())),
+        ("records_scored", "analyzed + no official score", analyzed + reasons.get("no official score", 0)),
+    ):
+        if dataset[name] != total:
+            raise BundleError(f"summary {name} is {dataset[name]}, but {parts} is {total}")
+
+
 def _csv_column(name: str, header: list[str], rows: list[list[str]], column: str) -> list[str]:
     if column not in header:
         raise BundleError(f"{name}.csv has no {column!r} column")
@@ -624,7 +629,8 @@ def write_bundle(bundle: ReportBundle, out_dir, fmt: str = "all") -> list[Path]:
     written: list[Path] = []
     if fmt in ("all", "json"):
         path = out / "summary.json"
-        text = json.dumps(bundle.summary, indent=2, sort_keys=True, ensure_ascii=False)
+        text = json.dumps(bundle.summary, indent=2, sort_keys=True, ensure_ascii=False,
+                          allow_nan=False)
         write_atomic(path, [text, "\n"])
         written.append(path)
     if fmt in ("all", "csv"):

@@ -1543,6 +1543,56 @@ def test_report_rejects_a_summary_of_the_wrong_shape(runner, cache_copy, tmp_pat
     assert f"error: bad summary {path}: " in result.output
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_report_rejects_a_summary_number_that_is_not_json(runner, fixture_bundle, tmp_path, constant):
+    """Python's JSON reader takes NaN and infinities; ``report`` does not,
+    as ``write_bundle`` never writes them."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(fixture_bundle, bundle)
+    path = bundle / "summary.json"
+    summary = json.loads(path.read_text(encoding="utf-8"))
+    summary["official_score"]["mean"] = float(constant)  # json.dumps writes the token back
+    path.write_text(json.dumps(summary), encoding="utf-8")
+    result = runner.invoke(main, ["report", "--bundle", str(bundle)])
+    assert result.exit_code == 3, result.output
+    assert result.output == f"error: bad summary {path}: {constant} is not valid JSON\n"
+
+
+def _set_count(summary, key, value):
+    target = summary["dataset"]["skip_reasons"] if key == "no official score" else summary["dataset"]
+    target[key] = value
+
+
+@pytest.mark.parametrize(
+    ("key", "value", "message"),
+    [
+        ("records_in_cache", -5, "summary count 'records_in_cache' is -5, not an integer >= 0"),
+        ("records_excluded", 1.0, "summary count 'records_excluded' is 1.0, not an integer >= 0"),
+        ("records_scored", True, "summary count 'records_scored' is True, not an integer >= 0"),
+        ("no official score", "3", "summary count 'no official score' is '3', not an integer >= 0"),
+        ("records_in_cache", 201,
+         "summary records_in_cache is 201, but excluded + analyzed + skipped is 200"),
+        ("records_excluded", 1,
+         "summary records_in_cache is 200, but excluded + analyzed + skipped is 201"),
+        ("no official score", 4, "summary records_skipped is 10, but the sum of skip_reasons is 11"),
+        ("records_scored", 192, "summary records_scored is 192, but analyzed + no official score is 193"),
+    ],
+    ids=["negative", "float", "bool", "string-reason", "cache-over", "excluded-over", "reasons-over",
+         "scored-under"],
+)
+def test_report_rejects_dataset_counts_that_do_not_add_up(runner, fixture_bundle, tmp_path, key, value,
+                                                          message):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(fixture_bundle, bundle)
+    path = bundle / "summary.json"
+    summary = json.loads(path.read_text(encoding="utf-8"))
+    _set_count(summary, key, value)
+    path.write_text(json.dumps(summary), encoding="utf-8")
+    result = runner.invoke(main, ["report", "--bundle", str(bundle)])
+    assert result.exit_code == 3, result.output
+    assert result.output == f"error: bad bundle {bundle}: {message}\n"
+
+
 def _analyzed_bundle(runner, cache, out_dir):
     assert runner.invoke(main, ["analyze", "--cache", str(cache), "--out", str(out_dir)]).exit_code == 0
     assert runner.invoke(main, ["report", "--bundle", str(out_dir)]).exit_code == 0

@@ -17,6 +17,7 @@ from cverisk.report import (
     SUMMARY_SCHEMA_PATH,
     CsvLines,
     EmptyDatasetError,
+    ReportBundle,
     UnscoreableAllError,
     build_bundle,
     render_executive_summary,
@@ -272,12 +273,53 @@ def test_nan_statistics_become_null(sample_records):
     assert stats["Physical"]["std"] is None
     assert stats["Adjacent"]["mean"] is None  # empty group
     _, rows = b.tables["attack_vector_score_stats"]
-    assert ("Adjacent", 0, "", "", "", "", "") in rows
+    assert ("Adjacent", 0, None, None, None, None, None) in rows
     counts = b.summary["attack_vector"]["counts"]
     severe = b.summary["cross"]["av_severe_cia_share"]
     assert {label for label, c in counts.items() if c == 0} == {"Adjacent", "Local"}
     assert all(severe[label] is None for label, c in counts.items() if c == 0)
     assert all(severe[label] is not None for label, c in counts.items() if c > 0)
+
+
+def _typed_cells(row) -> list:
+    return [(type(cell), cell) for cell in row]
+
+
+@pytest.mark.parametrize("records", ["empty-group", "single"])
+def test_table_cells_hold_the_summarys_values(sample_records, records):
+    """Each statistic a table shares with the summary is the same plain
+    value in both, ``None`` where it is undefined (an empty attack-vector
+    group, or a Spearman rho of one pair)."""
+    if records == "single":
+        b = build_bundle([make_record()])
+    else:
+        one = [r for r in sample_records if r.vector_string and "AV:P" in r.vector_string][:1]
+        keep = [r for r in sample_records if r.vector_string and "AV:N" in r.vector_string][:20]
+        b = build_bundle(one + keep)
+    av = b.summary["attack_vector"]
+    expected = {
+        "attack_vector_score_stats": [tuple(g.values()) for g in av["score_stats"]],
+        "attack_vector_high_risk": [
+            (label, h["count"], h["high_risk"], h["share"]) for label, h in av["high_risk_share"].items()
+        ],
+        "method_comparison": [
+            (m["method"], m["mae"], m["spearman_rho"], m["kappa"]) for m in b.summary["method_comparison"]
+        ],
+    }
+    for name, summary_rows in expected.items():
+        _, rows = b.tables[name]
+        assert [_typed_cells(row) for row in rows] == [_typed_cells(row) for row in summary_rows], name
+    assert None in expected["attack_vector_score_stats"][1]  # the empty Adjacent group, or Adjacent alone
+    assert (expected["method_comparison"][0][2] is None) == (records == "single")
+
+
+def test_write_bundle_refuses_a_summary_that_is_not_json(tmp_path):
+    """A NaN or an infinity that reached the summary would be written as a
+    token ``report`` rejects; ``write_bundle`` raises instead."""
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_bundle(ReportBundle({"mean": value}, {}, []), tmp_path, fmt="json")
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_summary_validates_against_shipped_schema(bundle):
